@@ -99,7 +99,11 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def cmd_synth(args) -> int:
+    n_classes = 4   # the fewest classes whose class pairs cover every event
+    while n_classes * (n_classes + 1) // 2 < args.events:
+        n_classes += 1
     spec = SynthSpec(seed=args.seed, n_drugs=args.drugs, n_events=args.events,
+                     n_classes=n_classes,
                      density=args.density, targets_size=args.targets,
                      enzymes_size=args.enzymes,
                      substructures_size=args.substructures)
@@ -138,7 +142,12 @@ def cmd_split(args) -> int:
 
 
 def _selected_folds(cfg: RunConfig):
-    return list(cfg.folds) if cfg.folds else list(range(cfg.n_folds))
+    folds = list(cfg.folds) if cfg.folds else list(range(cfg.n_folds))
+    for index in folds:
+        if not 0 <= index < cfg.n_folds:
+            raise ParameterError(f"fold index {index} out of range for "
+                                 f"n_folds={cfg.n_folds}")
+    return folds
 
 
 def cmd_train(args) -> int:
@@ -148,15 +157,21 @@ def cmd_train(args) -> int:
     if args.ddis:
         cfg = cfg.replace(ddi_file=args.ddis)
     if args.only_folds is not None:
-        cfg = cfg.replace(folds=tuple(int(x) for x in args.only_folds.split(",")))
+        try:
+            folds = tuple(int(x) for x in args.only_folds.split(","))
+        except ValueError:
+            raise ParameterError(f"--only-folds needs comma-separated integers, "
+                                 f"got {args.only_folds!r}") from None
+        cfg = cfg.replace(folds=folds)
     if not cfg.drug_table or not cfg.ddi_file:
         raise ParameterError("train needs --drugs and --ddis (or config entries)")
+    fold_indices = _selected_folds(cfg)
     dataset = DdiDataset.load(cfg.drug_table, cfg.ddi_file)
     run_dir = _run_dir(args.out)
     save_config(run_dir / "config" / "config.json", cfg)
     plan = make_splits(dataset.triples, dataset.n_drugs, task=cfg.task,
                        n_folds=cfg.n_folds, seed=cfg.seed)
-    for fold_index in _selected_folds(cfg):
+    for fold_index in fold_indices:
         log_path = run_dir / "log" / f"fold{fold_index}.jsonl"
         with open(log_path, "w", encoding="utf-8") as log:
             def log_fn(record, _log=log):
@@ -177,11 +192,12 @@ def cmd_eval(args) -> int:
     cfg = load_config(run_dir / "config" / "config.json")
     if args.macro_auc:
         cfg = cfg.replace(macro_auc=True)
+    fold_indices = _selected_folds(cfg)
     dataset = DdiDataset.load(cfg.drug_table, cfg.ddi_file)
     plan = make_splits(dataset.triples, dataset.n_drugs, task=cfg.task,
                        n_folds=cfg.n_folds, seed=cfg.seed)
     reports = []
-    for fold_index in _selected_folds(cfg):
+    for fold_index in fold_indices:
         ckpt = run_dir / "checkpoint" / f"fold{fold_index}.ckpt"
         if not ckpt.exists():
             raise DataError(f"missing checkpoint for fold {fold_index}", path=ckpt)

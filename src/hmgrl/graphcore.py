@@ -1,7 +1,7 @@
 """Multi-relational interaction graph, similarity graph, and the
 relation-aware embedding passes built on them.
 
-The interaction graph holds one symmetric 0/1 adjacency per event type
+The interaction graph holds one symmetric edge list per event type
 (training edges only); the similarity graph holds the three dense
 attribute-similarity adjacencies. Both are immutable after construction.
 """
@@ -33,41 +33,77 @@ def normalize_adjacency(a: np.ndarray) -> np.ndarray:
 
 @dataclass
 class RelGraph:
-    """Per-relation adjacency stack over N drugs with normalized forms."""
+    """Per-relation edge lists over N drugs.
+
+    Built from undirected interactions (u, v, r): each is stored as the two
+    directed edges u->v and v->u of relation r, sorted by (rel, dst, src),
+    and duplicates collapse to one edge. Derived per edge: its weight
+    A_r[dst, src] / R_dst, with A_r the normalized adjacency of relation r
+    and R_dst the number of relations the destination takes part in; and
+    `local`, the position of its source among the relation's active drugs
+    `sources[source_offsets[r]:source_offsets[r + 1]]` (sorted).
+    """
 
     n_drugs: int
     n_relations: int
-    adjacency: np.ndarray = field(repr=False)   # R x N x N, 0/1 symmetric
-    normalized: np.ndarray = field(init=False, repr=False)
+    src: np.ndarray = field(repr=False)
+    dst: np.ndarray = field(repr=False)
+    rel: np.ndarray = field(repr=False)
     relation_counts: np.ndarray = field(init=False, repr=False)  # R_v per node
+    weights: np.ndarray = field(init=False, repr=False)
+    local: np.ndarray = field(init=False, repr=False)
+    sources: np.ndarray = field(init=False, repr=False)
+    source_offsets: np.ndarray = field(init=False, repr=False)
+    edge_offsets: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        a = np.asarray(self.adjacency, dtype=np.float64)
-        if a.shape != (self.n_relations, self.n_drugs, self.n_drugs):
-            raise ValidationError(f"adjacency shape {a.shape} unexpected")
-        for r in range(self.n_relations):
-            if np.diagonal(a[r]).any():
-                raise ValidationError(f"relation {r}: self-interaction on diagonal")
-            if not np.array_equal(a[r], a[r].T):
-                raise ValidationError(f"relation {r}: adjacency not symmetric")
-        self.adjacency = a
-        self.normalized = np.stack([normalize_adjacency(a[r])
-                                    for r in range(self.n_relations)])
-        # R_v: number of relations in which node v has at least one neighbor
-        self.relation_counts = (a.sum(axis=2) > 0).sum(axis=0).astype(np.float64)
+        n, n_rel = self.n_drugs, self.n_relations
+        u, v, r = (np.asarray(a, dtype=np.int64).ravel()
+                   for a in (self.src, self.dst, self.rel))
+        bad_drug = (u < 0) | (u >= n) | (v < 0) | (v >= n)
+        bad_event = (r < 0) | (r >= n_rel)
+        bad = bad_drug | bad_event | (u == v)
+        if bad.any():
+            k = int(np.argmax(bad))
+            triple = (int(u[k]), int(v[k]), int(r[k]))
+            if bad_drug[k]:
+                raise ValidationError(f"triple {triple}: drug index out of range "
+                                      f"0..{n - 1}")
+            if bad_event[k]:
+                raise ValidationError(f"triple {triple}: event type out of range "
+                                      f"0..{n_rel - 1}")
+            raise ValidationError(f"triple {triple}: self-interaction not allowed")
+
+        # one sorted key per directed edge: (rel, dst, src)
+        keys = np.unique(np.concatenate([(r * n + v) * n + u, (r * n + u) * n + v]))
+        self.rel, rest = np.divmod(keys, n * n)
+        self.dst, self.src = np.divmod(rest, n)
+        self.edge_offsets = np.searchsorted(self.rel, np.arange(n_rel + 1))
+
+        degrees = np.bincount(self.rel * n + self.dst, minlength=n_rel * n)
+        in_relation = degrees.reshape(n_rel, n) > 0
+        self.relation_counts = in_relation.sum(axis=0).astype(np.float64)
+        inv_sqrt = 1.0 / np.sqrt(np.maximum(degrees, 1))
+        self.weights = (inv_sqrt[self.rel * n + self.dst] * inv_sqrt[self.rel * n + self.src]
+                        / self.relation_counts[self.dst])
+
+        active = np.unique(self.rel * n + self.src)   # (rel, drug), sorted
+        self.sources = active % n
+        self.source_offsets = np.searchsorted(active // n, np.arange(n_rel + 1))
+        self.local = (np.searchsorted(active, self.rel * n + self.src)
+                      - self.source_offsets[self.rel])
 
     @classmethod
     def from_triples(cls, n_drugs: int, n_relations: int, triples) -> "RelGraph":
         """triples: iterable of (u, v, r) integer index triples, u != v."""
-        a = np.zeros((n_relations, n_drugs, n_drugs))
-        for u, v, r in triples:
-            if u == v:
-                raise ValidationError(f"self-interaction ({u},{u}) not allowed")
-            if not (0 <= r < n_relations):
-                raise ValidationError(f"event type {r} out of range 0..{n_relations - 1}")
-            a[r, u, v] = 1.0
-            a[r, v, u] = 1.0
-        return cls(n_drugs, n_relations, a)
+        t = np.array(list(triples), dtype=np.int64).reshape(-1, 3)
+        return cls(n_drugs, n_relations, t[:, 0], t[:, 1], t[:, 2])
+
+    def relation_edges(self, r: int):
+        """(active sources, dst, local, weights) of relation r's edges."""
+        lo, hi = self.edge_offsets[r], self.edge_offsets[r + 1]
+        sources = self.sources[self.source_offsets[r]:self.source_offsets[r + 1]]
+        return sources, self.dst[lo:hi], self.local[lo:hi], self.weights[lo:hi]
 
     def new_drug_mask(self) -> np.ndarray:
         """Drugs with no edge in any relation (cold-start nodes)."""
@@ -125,10 +161,11 @@ def _sparsify_top_k(m: np.ndarray, k: int) -> np.ndarray:
 def rgcn_forward(graph: RelGraph, x, rel_weights, self_weight) -> nk.Tensor:
     """One relational convolution over the interaction graph.
 
-    Per node: relu of the per-relation neighbor aggregation, scaled by the
-    normalized edge weight and 1/R_v, plus the self term. Nodes in no
-    relation (R_v = 0) keep only the self term: the relational sum is empty
-    and the division is skipped.
+    Per node v: relu(sum_r sum_{u in N_r(v)} A_r[v, u] / R_v * x_u W_r
+    + x_v W_self). Each relation transforms only its active drugs and
+    scatters the messages along its edges, so the work scales with the
+    (drug, relation) pairs that have an edge, not with R * N^2. Nodes in
+    no relation (R_v = 0) keep only the self term.
     """
     x = nk.as_tensor(x)
     if len(rel_weights) != graph.n_relations:
@@ -136,22 +173,16 @@ def rgcn_forward(graph: RelGraph, x, rel_weights, self_weight) -> nk.Tensor:
     if x.shape[0] != graph.n_drugs:
         raise ShapeError(f"features have {x.shape[0]} rows for {graph.n_drugs} drugs")
 
-    inv_counts = np.where(graph.relation_counts > 0,
-                          1.0 / np.where(graph.relation_counts > 0,
-                                         graph.relation_counts, 1.0),
-                          0.0)
     total = None
     for r in range(graph.n_relations):
-        if not graph.adjacency[r].any():
+        sources, dst, local, weights = graph.relation_edges(r)
+        if dst.size == 0:
             continue  # empty relation contributes nothing
-        term = nk.matmul(nk.constant(graph.normalized[r]), nk.matmul(x, rel_weights[r]))
+        messages = nk.matmul(nk.gather_rows(x, sources), rel_weights[r])
+        term = nk.spmm(dst, local, weights, graph.n_drugs, messages)
         total = term if total is None else nk.add(total, term)
     self_term = nk.matmul(x, self_weight)
-    if total is None:
-        pre = self_term
-    else:
-        pre = nk.add(nk.scale_rows(total, inv_counts), self_term)
-    return nk.relu(pre)
+    return nk.relu(self_term if total is None else nk.add(total, self_term))
 
 
 def dds_propagate(dds: DDSGraph, embeddings, hops: int):

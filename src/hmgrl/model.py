@@ -16,7 +16,13 @@ import numpy as np
 from . import numkit as nk
 from .config import RunConfig
 from .encoders import CnnBlock, EncoderBlock, assemble_comprehensive
-from .errors import NumericError, ParameterError, ShapeError, ValidationError
+from .errors import (
+    DataError,
+    NumericError,
+    ParameterError,
+    ShapeError,
+    ValidationError,
+)
 from .evaluate import Fold
 from .featurize import (
     DrugTable,
@@ -432,16 +438,6 @@ def predict(model: HmgrlModel, graph: RelGraph, pairs) -> tuple[np.ndarray, np.n
     return probs.argmax(axis=1), probs
 
 
-def evaluate_fold(model: HmgrlModel, graph: RelGraph, test_triples,
-                  macro_curves: bool = False):
-    from .evaluate import compute_metrics
-
-    pairs = [(u, v) for u, v, _ in test_triples]
-    labels = one_hot([r for _, _, r in test_triples], model.n_relations)
-    _, probs = predict(model, graph, pairs)
-    return compute_metrics(probs, labels, macro_curves=macro_curves)
-
-
 # ---------------------------------------------------------------- checkpoint
 
 def save_model(path, model: HmgrlModel, extra_meta: dict | None = None) -> None:
@@ -454,11 +450,28 @@ def save_model(path, model: HmgrlModel, extra_meta: dict | None = None) -> None:
 
 
 def load_model(path, table: DrugTable) -> tuple[HmgrlModel, dict]:
+    """Rebuild a saved model; any defect of the file is a DataError naming it."""
     arrays, meta = nk.load_checkpoint(path)
-    config = RunConfig.from_dict(meta["config"])
+    for key in ("n_drugs", "n_relations"):
+        value = meta.get(key)
+        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+            raise DataError(f"meta {key} must be a positive integer, got {value!r}",
+                            path=path)
+    if not isinstance(meta.get("config"), dict):
+        raise DataError("meta record has no config object", path=path)
+    try:
+        config = RunConfig.from_dict(meta["config"])
+    except (ParameterError, TypeError) as err:
+        raise DataError(f"bad config in meta record: {err}", path=path) from None
     if meta["n_drugs"] != len(table):
-        raise ValidationError(f"checkpoint built for {meta['n_drugs']} drugs, "
-                              f"table has {len(table)}")
+        raise DataError(f"checkpoint built for {meta['n_drugs']} drugs, "
+                        f"table has {len(table)}", path=path)
+    if meta["n_relations"] > len(arrays):  # every relation owns rgcn weights
+        raise DataError(f"meta n_relations={meta['n_relations']} exceeds the "
+                        f"{len(arrays)} tensors stored", path=path)
     model = HmgrlModel(config, table, meta["n_relations"], seed=0)
-    model.load_arrays(arrays)
+    try:
+        model.load_arrays(arrays)
+    except (ValidationError, ShapeError) as err:
+        raise DataError(str(err), path=path) from None
     return model, meta

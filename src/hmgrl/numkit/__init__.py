@@ -26,9 +26,9 @@ from .ops import (
     relu,
     reshape,
     scale,
-    scale_rows,
     slice_cols,
     softmax_rows,
+    spmm,
     sub,
     sum_all,
     trace,
@@ -43,7 +43,7 @@ __all__ = [
     "frobenius_norm", "gather_rows", "global_max_pool", "layer_norm_rows",
     "load_checkpoint", "log_clamped", "matmul", "mul", "mul_rowvec",
     "no_grad", "parameter", "relu", "reshape", "save_checkpoint", "scale",
-    "scale_rows", "slice_cols", "softmax_rows", "sub", "sum_all", "trace",
+    "slice_cols", "softmax_rows", "spmm", "sub", "sum_all", "trace",
     "transpose",
 ]
 

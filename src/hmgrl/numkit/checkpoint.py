@@ -11,6 +11,7 @@ Layout (bit-exact round trip required):
 from __future__ import annotations
 
 import json
+import os
 
 import numpy as np
 
@@ -46,26 +47,47 @@ def _read_line(fh, path) -> bytes:
         buf += ch
 
 
+def _dimension(text: str, name: str, path) -> int:
+    if not (text.isascii() and text.isdigit()):
+        raise DataError(f"tensor {name!r}: dimension {text!r} is not a "
+                        f"non-negative integer", path=path)
+    return int(text)
+
+
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
-    """Returns (tensors in file order, meta)."""
+    """Returns (tensors in file order, meta); a malformed file raises a
+    DataError naming it."""
     with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
         if fh.read(len(MAGIC)) != MAGIC:
             raise DataError("bad magic: not a checkpoint file", path=path)
         meta_line = _read_line(fh, path)
         if not meta_line.startswith(b"meta\t"):
             raise DataError("missing meta record", path=path)
-        meta = json.loads(meta_line[5:].decode("utf-8"))
+        try:
+            meta = json.loads(meta_line[5:].decode("utf-8"))
+        except ValueError as err:  # bad UTF-8 or bad JSON
+            raise DataError(f"bad meta record: {err}", path=path) from None
+        if not isinstance(meta, dict):
+            raise DataError("meta record is not a JSON object", path=path)
         tensors: dict[str, np.ndarray] = {}
         while True:
             header = _read_line(fh, path)
             if not header:
                 break
-            parts = header.decode("utf-8").split("\t")
+            try:
+                parts = header.decode("utf-8").split("\t")
+            except UnicodeDecodeError:
+                parts = []
             if len(parts) != 3:
                 raise DataError(f"malformed tensor header {header!r}", path=path)
-            name, rows, cols = parts[0], int(parts[1]), int(parts[2])
-            raw = fh.read(rows * cols * 8)
-            if len(raw) != rows * cols * 8:
+            name = parts[0]
+            rows, cols = (_dimension(text, name, path) for text in parts[1:])
+            if name in tensors:
+                raise DataError(f"duplicate tensor {name!r}", path=path)
+            nbytes = rows * cols * 8
+            if nbytes > size - fh.tell():
                 raise DataError(f"truncated payload for tensor {name!r}", path=path)
+            raw = fh.read(nbytes)
             tensors[name] = np.frombuffer(raw, dtype="<f8").reshape(rows, cols).copy()
     return tensors, meta

@@ -28,8 +28,10 @@ def matmul(a, b) -> Tensor:
     a_data, b_data = a.data, b.data
 
     def backward(g):
-        a.accumulate(g @ b_data.T)
-        b.accumulate(a_data.T @ g)
+        if a.requires_grad:
+            a.accumulate(g @ b_data.T)
+        if b.requires_grad:
+            b.accumulate(a_data.T @ g)
 
     return make_output(a_data @ b_data, (a, b), backward)
 
@@ -122,19 +124,6 @@ def mul_rowvec(a, v) -> Tensor:
         v.accumulate((g * a_data).sum(axis=0, keepdims=True))
 
     return make_output(a_data * v_data, (a, v), backward)
-
-
-def scale_rows(a, col: np.ndarray) -> Tensor:
-    """Scale row i by constant col[i] (per-node normalization constants)."""
-    a = as_tensor(a)
-    c = np.asarray(col, dtype=np.float64).reshape(-1, 1)
-    if c.shape[0] != a.shape[0]:
-        raise ShapeError(f"scale_rows: {a.shape} rows vs {c.shape[0]} factors")
-
-    def backward(g):
-        a.accumulate(g * c)
-
-    return make_output(a.data * c, (a,), backward)
 
 
 # --------------------------------------------------------------- activations
@@ -260,7 +249,38 @@ def gather_rows(a, index) -> Tensor:
             np.add.at(buf, idx, g)
             a.accumulate(buf)
 
-    return make_output(a.data[idx].copy(), (a,), backward)
+    return make_output(a.data[idx], (a,), backward)
+
+
+def spmm(rows, cols, vals, n_rows: int, a) -> Tensor:
+    """S @ a for the sparse n_rows x a.rows matrix S given in COO form:
+    S[rows[k], cols[k]] = vals[k], duplicate entries adding up.
+
+    The backward scatter-adds S^T g into a's gradient.
+    """
+    a = as_tensor(a)
+    rows = np.asarray(rows, dtype=np.intp)
+    cols = np.asarray(cols, dtype=np.intp)
+    vals = np.asarray(vals, dtype=np.float64)
+    if not (rows.ndim == cols.ndim == vals.ndim == 1
+            and rows.size == cols.size == vals.size):
+        raise ShapeError("spmm: rows, cols and vals must be vectors of one length")
+    if rows.size and (rows.min() < 0 or rows.max() >= n_rows
+                      or cols.min() < 0 or cols.max() >= a.shape[0]):
+        raise ShapeError(f"spmm: an entry lies outside {n_rows} x {a.shape[0]}")
+
+    def backward(g):
+        a.accumulate(_scatter_rows(cols, rows, vals, a.shape[0], g))
+
+    return make_output(_scatter_rows(rows, cols, vals, n_rows, a.data), (a,), backward)
+
+
+def _scatter_rows(target, source, vals, n: int, m: np.ndarray) -> np.ndarray:
+    """n-row matrix whose row target[k] sums vals[k] * m[source[k]] over k."""
+    width = m.shape[1]
+    flat = (target[:, None] * width + np.arange(width)).ravel()
+    weighted = (vals[:, None] * m[source]).ravel()
+    return np.bincount(flat, weights=weighted, minlength=n * width).reshape(n, width)
 
 
 # ---------------------------------------------------------------- reductions
@@ -326,14 +346,15 @@ def block_matmul(a, b, block: int, transpose_b: bool = False) -> Tensor:
 
     def backward(g):
         g3 = g.reshape(groups, block, -1)
-        if transpose_b:
-            da = g3 @ b3
-            db = g3.transpose(0, 2, 1) @ a3
-        else:
-            da = g3 @ b3.transpose(0, 2, 1)
-            db = a3.transpose(0, 2, 1) @ g3
-        a.accumulate(da.reshape(a.shape))
-        b.accumulate(db.reshape(b.shape))
+        if a.requires_grad:
+            da = g3 @ (b3 if transpose_b else b3.transpose(0, 2, 1))
+            a.accumulate(da.reshape(a.shape))
+        if b.requires_grad:
+            if transpose_b:
+                db = g3.transpose(0, 2, 1) @ a3
+            else:
+                db = a3.transpose(0, 2, 1) @ g3
+            b.accumulate(db.reshape(b.shape))
 
     return make_output(out3.reshape(a.shape[0], -1), (a, b), backward)
 

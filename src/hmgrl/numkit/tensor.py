@@ -18,10 +18,6 @@ from ..errors import ShapeError
 _ACTIVE_TAPE: "Tape | None" = None
 
 
-def active_tape() -> "Tape | None":
-    return _ACTIVE_TAPE
-
-
 class Tape:
     """Ordered record of primitive ops with input/output references."""
 
@@ -111,9 +107,6 @@ class Tensor:
 
     def zero_grad(self) -> None:
         self.grad = None
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
 
     def __repr__(self):
         tag = ", requires_grad" if self.requires_grad else ""

@@ -41,6 +41,9 @@ class SynthSpec:
         if not 0 < self.n_pairs <= max_pairs:
             raise ParameterError(f"density {self.density} gives {self.n_pairs} pairs, "
                                  f"feasible range is 1..{max_pairs}")
+        if self.n_drugs < 2 * self.n_classes:
+            raise ParameterError(f"{self.n_drugs} drugs are too few for "
+                                 f"{self.n_classes} classes of at least 2 drugs")
         rule_slots = self.n_classes * (self.n_classes + 1) // 2
         if rule_slots < self.n_events:
             raise ParameterError(f"{self.n_classes} classes give {rule_slots} class "

@@ -153,3 +153,125 @@ def test_config_file_roundtrip(tmp_path):
     path = tmp_path / "cfg.json"
     save_config(path, cfg)
     assert load_config(path) == cfg
+
+
+def test_synth_many_events_picks_enough_classes(tmp_path):
+    from hmgrl.featurize import write_drug_table
+    from hmgrl.graphcore import read_ddi_file, write_ddi_file
+    from hmgrl.synth import SynthSpec, generate
+
+    assert run_cli("synth", "--out", tmp_path / "many", "--events", 65,
+                   "--drugs", 200) == 0
+    events = {r for _, _, r in read_ddi_file(tmp_path / "many" / "ddis.tsv")}
+    assert max(events) < 65
+    # 65 events need 11 classes of at least 2 drugs each
+    assert run_cli("synth", "--out", tmp_path / "few", "--events", 65,
+                   "--drugs", 21) == EXIT_USAGE
+    # the default 8 events keep the 4-class generator, file for file
+    assert run_cli("synth", "--out", tmp_path / "cli") == 0
+    table, triples = generate(SynthSpec(seed=0, n_classes=4))
+    write_drug_table(tmp_path / "drugs.tsv", table)
+    write_ddi_file(tmp_path / "ddis.tsv", triples)
+    for name in ("drugs.tsv", "ddis.tsv"):
+        assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / name).read_bytes()
+
+
+def test_out_of_range_fold_index_is_usage_error(synth_dir, tmp_path, capsys):
+    run_dir = tmp_path / "run"
+    code = run_cli("train", "--drugs", synth_dir / "drugs.tsv",
+                   "--ddis", synth_dir / "ddis.tsv", "--preset", "micro",
+                   "--folds", 3, "--only-folds", 7, "--out", run_dir)
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE
+    assert "7" in err and "n_folds=3" in err
+    assert not run_dir.exists()  # rejected before any work
+    assert run_cli("train", "--drugs", synth_dir / "drugs.tsv",
+                   "--ddis", synth_dir / "ddis.tsv", "--only-folds", "0,x",
+                   "--out", run_dir) == EXIT_USAGE
+
+
+def _checkpoint_records(blob: bytes):
+    """(magic end, meta end, [(header start, header end, payload end)])."""
+    from hmgrl.numkit import MAGIC
+
+    meta_end = blob.index(b"\n", len(MAGIC)) + 1
+    records, pos = [], meta_end
+    while pos < len(blob):
+        header_end = blob.index(b"\n", pos) + 1
+        _, rows, cols = blob[pos:header_end - 1].split(b"\t")
+        records.append((pos, header_end, header_end + int(rows) * int(cols) * 8))
+        pos = records[-1][2]
+    return len(MAGIC), meta_end, records
+
+
+def _corrupt_checkpoints(blob: bytes):
+    """(label, bytes) for every truncation at a record boundary and every
+    corrupted header or meta field."""
+    magic_end, meta_end, records = _checkpoint_records(blob)
+    cases = [(f"truncated at {cut}", blob[:cut])
+             for cut in [0, magic_end, meta_end]
+             + [end for _, header_end, payload_end in records
+                for end in (header_end, payload_end)][:-1]]
+    start, header_end, _ = records[0]
+    name, rows, cols = blob[start:header_end - 1].split(b"\t")
+    second = blob[records[1][0]:records[1][1] - 1].split(b"\t")[0]
+
+    def with_header(fields):
+        return blob[:start] + b"\t".join(fields) + b"\n" + blob[header_end:]
+
+    bad_dims = [b"x", b"-1", b"", b"1.5", b"+1", "²".encode(),
+                str(int(rows) + 1).encode(), b"99999999999"]
+    cases += [(f"rows {d!r}", with_header([name, d, cols])) for d in bad_dims]
+    cases += [(f"cols {d!r}", with_header([name, rows, d])) for d in bad_dims]
+    cases += [(f"name {n!r}", with_header([n, rows, cols]))
+              for n in (b"no.such.tensor", second, b"\xff\xfe")]
+    cases += [("four fields", with_header([name, rows, cols, b"1"])),
+              ("two fields", with_header([name, rows]))]
+
+    meta = json.loads(blob[magic_end + 5:meta_end - 1])
+
+    def with_meta(payload: bytes):
+        return blob[:magic_end] + b"meta\t" + payload + b"\n" + blob[meta_end:]
+
+    cases += [("bad magic", b"HMGRL-CKPT v9\n" + blob[magic_end:]),
+              ("meta not JSON", with_meta(b"{not json")),
+              ("meta not UTF-8", with_meta(b'{"a": "\xff"}')),
+              ("meta not an object", with_meta(b"[1, 2]"))]
+    for key, value in [("config", None), ("n_drugs", None), ("n_relations", None),
+                       ("config", "x"), ("config", {"no_such_field": 1}),
+                       ("config", {**meta["config"], "batch_size": "x"}),
+                       ("n_drugs", "12"), ("n_drugs", meta["n_drugs"] + 1),
+                       ("n_relations", 0), ("n_relations", meta["n_relations"] + 1),
+                       ("n_relations", len(records) + 1)]:
+        changed = {k: v for k, v in meta.items() if k != key}
+        if value is not None:
+            changed[key] = value
+        cases.append((f"meta {key}={value!r}",
+                      with_meta(json.dumps(changed, sort_keys=True).encode())))
+    return cases
+
+
+def test_corrupt_checkpoint_is_data_error_naming_file(synth_dir, tmp_path, capsys):
+    from hmgrl.config import apply_preset
+    from hmgrl.model import DdiDataset, HmgrlModel, save_model
+
+    data = DdiDataset.load(synth_dir / "drugs.tsv", synth_dir / "ddis.tsv")
+    good = tmp_path / "good.ckpt"
+    save_model(good, HmgrlModel(apply_preset("micro"), data.table, data.n_relations))
+    pairs = tmp_path / "pairs.tsv"
+    ids = data.table.ids
+    pairs.write_text(f"{ids[0]}\t{ids[1]}\n{ids[2]}\t{ids[3]}\n")
+    args = ["predict", "--drugs", synth_dir / "drugs.tsv",
+            "--train-ddis", synth_dir / "ddis.tsv", "--pairs", pairs,
+            "--out", tmp_path / "pred.tsv"]
+    assert run_cli(*args, "--checkpoint", good) == 0
+    capsys.readouterr()
+    cases = _corrupt_checkpoints(good.read_bytes())
+    assert len(cases) > 40
+    for label, blob in cases:
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(blob)
+        code = run_cli(*args, "--checkpoint", bad)
+        err = capsys.readouterr().err
+        assert code == EXIT_DATA, label
+        assert str(bad) in err, label

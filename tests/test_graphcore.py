@@ -57,30 +57,38 @@ def test_normalized_symmetric_spectral_radius_at_most_one():
         assert radius <= 1.0 + 1e-9
 
 
-def path_graph(n=3):
-    a = np.zeros((1, n, n))
-    for i in range(n - 1):
-        a[0, i, i + 1] = a[0, i + 1, i] = 1.0
-    return RelGraph(n, 1, a)
+def path_triples(n=3):
+    return [(i, i + 1, 0) for i in range(n - 1)]
 
 
-def brute_force_rgcn(graph, x, rel_ws, self_w):
+def dense_normalized(n, n_rel, triples):
+    """Dense route: the 0/1 stack of every relation, each normalized with
+    normalize_adjacency, and R_v; independent of RelGraph's edge lists."""
+    a = np.zeros((n_rel, n, n))
+    for u, v, r in triples:
+        a[r, u, v] = a[r, v, u] = 1.0
+    normalized = np.stack([normalize_adjacency(a[r]) for r in range(n_rel)])
+    counts = (a.sum(axis=2) > 0).sum(axis=0).astype(float)
+    return a, normalized, counts
+
+
+def brute_force_rgcn(n, n_rel, triples, x, rel_ws, self_w):
     """Direct per-node evaluation of the aggregation rule (test oracle)."""
-    n, d_out = x.shape[0], self_w.shape[1]
+    a, normalized, counts = dense_normalized(n, n_rel, triples)
+    d_out = self_w.shape[1]
     out = np.zeros((n, d_out))
     for v in range(n):
         acc = x[v] @ self_w
-        r_v = graph.relation_counts[v]
-        for r in range(graph.n_relations):
+        for r in range(n_rel):
             for u in range(n):
-                if graph.adjacency[r, u, v]:
-                    acc = acc + graph.normalized[r][u, v] / r_v * (x[u] @ rel_ws[r])
+                if a[r, u, v]:
+                    acc = acc + normalized[r][u, v] / counts[v] * (x[u] @ rel_ws[r])
         out[v] = np.maximum(acc, 0.0)
     return out
 
 
 def test_rgcn_empty_graph_is_self_term_only():
-    graph = RelGraph(3, 2, np.zeros((2, 3, 3)))
+    graph = RelGraph.from_triples(3, 2, [])
     x = np.array([[1.0, -1.0], [2.0, 0.5], [-3.0, 1.0]])
     w_self = np.array([[1.0, 0.0], [0.0, 1.0]])
     rel = [nk.constant(np.eye(2)) for _ in range(2)]
@@ -89,11 +97,12 @@ def test_rgcn_empty_graph_is_self_term_only():
 
 
 def test_rgcn_path_graph_matches_brute_force():
-    graph = path_graph(3)
+    tri = path_triples(3)
+    graph = RelGraph.from_triples(3, 1, tri)
     x = np.eye(3)
     w = np.eye(3)
     out = rgcn_forward(graph, nk.constant(x), [nk.constant(w)], nk.constant(w))
-    assert np.allclose(out.data, brute_force_rgcn(graph, x, [w], w), atol=1e-12)
+    assert np.allclose(out.data, brute_force_rgcn(3, 1, tri, x, [w], w), atol=1e-12)
 
 
 def test_rgcn_random_matches_brute_force():
@@ -106,7 +115,8 @@ def test_rgcn_random_matches_brute_force():
     self_w = rng.normal(size=(d, dp))
     out = rgcn_forward(graph, nk.constant(x), [nk.constant(w) for w in rel_ws],
                        nk.constant(self_w))
-    assert np.allclose(out.data, brute_force_rgcn(graph, x, rel_ws, self_w), atol=1e-12)
+    expected = brute_force_rgcn(n, r, tri, x, rel_ws, self_w)
+    assert np.allclose(out.data, expected, atol=1e-12)
 
 
 def test_rgcn_two_relation_node_divides_by_two():
@@ -118,8 +128,58 @@ def test_rgcn_two_relation_node_divides_by_two():
     w = np.eye(2)
     out = rgcn_forward(graph, nk.constant(x), [nk.constant(w), nk.constant(w)],
                        nk.constant(np.zeros((2, 2))))
-    unnormalized = (graph.normalized[0] + graph.normalized[1]).T @ x
-    assert np.allclose(out.data[0], np.maximum(unnormalized[0] / 2.0, 0.0))
+    _, normalized, _ = dense_normalized(3, 2, tri)
+    unnormalized = (normalized[0] + normalized[1]).T @ x
+    assert np.allclose(out.data[0], np.maximum(unnormalized[0] / 2.0, 0.0), atol=1e-12)
+
+
+def test_rgcn_random_graphs_match_brute_force_with_gradients():
+    # relation 3 gets no edges, drug n-1 none at all; triples repeat and reverse
+    rng = np.random.default_rng(31)
+    n, n_rel, d, dp = 9, 4, 3, 2
+    for _ in range(5):
+        tri = [(int(u), int(v), int(r)) for u, v, r in
+               zip(rng.integers(0, n - 1, 14), rng.integers(0, n - 1, 14),
+                   rng.integers(0, n_rel - 1, 14)) if u != v]
+        tri += [(v, u, r) for u, v, r in tri[:4]] + tri[:3]
+        graph = RelGraph.from_triples(n, n_rel, tri)
+        x = nk.parameter(rng.normal(size=(n, d)))
+        rel_ws = [nk.parameter(rng.normal(size=(d, dp))) for _ in range(n_rel)]
+        self_w = nk.parameter(rng.normal(size=(d, dp)))
+        out = rgcn_forward(graph, x, rel_ws, self_w)
+        expected = brute_force_rgcn(n, n_rel, tri, x.data, [w.data for w in rel_ws],
+                                    self_w.data)
+        assert np.allclose(out.data, expected, atol=1e-12)
+        weight = nk.constant(rng.normal(size=(n, dp)))
+        fd_check(lambda: nk.sum_all(nk.mul(rgcn_forward(graph, x, rel_ws, self_w),
+                                           weight)),
+                 [x, self_w] + rel_ws)
+
+
+def test_relgraph_edges_match_dense_normalization():
+    rng = np.random.default_rng(37)
+    n, n_rel = 12, 5
+    for _ in range(10):
+        tri = [(int(u), int(v), int(r)) for u, v, r in
+               zip(rng.integers(0, n - 1, 20), rng.integers(0, n - 1, 20),
+                   rng.integers(0, n_rel - 1, 20)) if u != v]
+        tri += [(v, u, r) for u, v, r in tri[::3]] + tri[:5]   # reversed, repeated
+        graph = RelGraph.from_triples(n, n_rel, tri)
+        a, normalized, counts = dense_normalized(n, n_rel, tri)
+        assert np.array_equal(graph.relation_counts, counts)
+        assert graph.new_drug_mask()[n - 1]
+        # each undirected edge twice, once per direction
+        assert len(graph.src) == int(a.sum())
+        rebuilt = np.zeros_like(a)
+        rebuilt[graph.rel, graph.dst, graph.src] = graph.weights
+        expected = normalized / np.where(counts > 0, counts, 1.0)[None, :, None]
+        assert np.allclose(rebuilt, expected, atol=1e-12)
+        for r in range(n_rel):
+            sources, dst, local, _ = graph.relation_edges(r)
+            assert np.array_equal(sources, np.flatnonzero(a[r].any(axis=1)))
+            assert np.array_equal(sources[local], graph.src[graph.rel == r])
+            assert np.array_equal(dst, graph.dst[graph.rel == r])
+        assert graph.relation_edges(n_rel - 1)[1].size == 0
 
 
 def test_rgcn_permutation_equivariant():
@@ -142,8 +202,15 @@ def test_rgcn_permutation_equivariant():
 
 
 def test_relgraph_rejects_self_loops():
-    with pytest.raises(ValidationError):
-        RelGraph.from_triples(3, 1, [(1, 1, 0)])
+    with pytest.raises(ValidationError, match=r"\(1, 1, 0\)"):
+        RelGraph.from_triples(3, 1, [(0, 2, 0), (1, 1, 0)])
+
+
+def test_relgraph_rejects_out_of_range_indices():
+    with pytest.raises(ValidationError, match=r"\(0, 2, 3\).*event type"):
+        RelGraph.from_triples(3, 3, [(0, 1, 0), (0, 2, 3)])
+    with pytest.raises(ValidationError, match=r"\(0, -1, 0\).*drug index"):
+        RelGraph.from_triples(3, 3, [(0, -1, 0)])
 
 
 def dds_from_sims(t, e, s):

@@ -147,6 +147,59 @@ def test_gather_rows_gradient_accumulates_duplicates():
     assert np.array_equal(x.grad, [[2.0, 2.0], [1.0, 1.0]])
 
 
+def test_spmm_matches_dense_product_and_finite_differences():
+    rng = np.random.default_rng(12)
+    rows = np.array([0, 4, 4, 2, 0, 4])       # row 1 and row 3 stay empty
+    cols = np.array([1, 0, 2, 2, 1, 1])       # (0, 1) appears twice and adds up
+    vals = rng.normal(size=6)
+    dense = np.zeros((5, 3))
+    np.add.at(dense, (rows, cols), vals)
+    a = nk.parameter(rng.normal(size=(3, 4)))
+    out = nk.spmm(rows, cols, vals, 5, a)
+    assert np.allclose(out.data, dense @ a.data, atol=1e-15)
+    w = rng.normal(size=(5, 4))
+    fd_check(lambda: nk.sum_all(nk.mul(nk.spmm(rows, cols, vals, 5, a),
+                                       nk.constant(w))), [a], rel_tol=1e-6)
+    empty = nk.spmm(np.array([], int), np.array([], int), np.array([]), 5, a)
+    assert np.array_equal(empty.data, np.zeros((5, 4)))
+    with pytest.raises(ShapeError):
+        nk.spmm(rows, cols, vals, 4, a)
+    with pytest.raises(ShapeError):
+        nk.spmm(rows, cols + 1, vals, 5, a)
+    with pytest.raises(ShapeError):
+        nk.spmm(rows, cols, vals[:5], 5, a)
+
+
+class _CountingArray(np.ndarray):
+    """Counts transposes; the gradient of the other matmul operand needs
+    this operand transposed, so a zero count means it was never formed."""
+
+    transposes = 0
+
+    @property
+    def T(self):
+        type(self).transposes += 1
+        return super().T
+
+
+def test_matmul_skips_the_gradient_of_a_constant_operand():
+    rng = np.random.default_rng(15)
+    const = nk.constant(rng.normal(size=(3, 4)))
+    for const_left in (True, False):
+        p = nk.parameter(rng.normal(size=(4, 2) if const_left else (2, 3)))
+        p.data = p.data.view(_CountingArray)
+        _CountingArray.transposes = 0
+        with nk.Tape() as tape:
+            prod = nk.matmul(const, p) if const_left else nk.matmul(p, const)
+            seed = rng.normal(size=prod.shape)
+            loss = nk.sum_all(nk.mul(prod, nk.constant(seed)))
+        tape.backward(loss)
+        assert _CountingArray.transposes == 0
+        assert const.grad is None
+        expected = const.data.T @ seed if const_left else seed @ const.data.T
+        assert np.array_equal(p.grad, expected)
+
+
 def test_div_frobenius_layernorm_gradients():
     rng = np.random.default_rng(11)
     x = nk.parameter(rng.normal(size=(4, 3)) + 2.0)
