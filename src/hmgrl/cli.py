@@ -227,10 +227,6 @@ def cmd_eval(args) -> int:
 
 def cmd_predict(args) -> int:
     table = read_drug_table(args.drugs)
-    model, _ = load_model(args.checkpoint, table)
-    train_triples = [(table.lookup(a), table.lookup(b), r)
-                     for a, b, r in read_ddi_file(args.train_ddis)]
-    graph = RelGraph.from_triples(len(table), model.n_relations, train_triples)
     pair_ids = []
     with open(args.pairs, "r", encoding="utf-8") as fh:
         for line_no, raw in enumerate(fh, start=1):
@@ -241,6 +237,12 @@ def cmd_predict(args) -> int:
             if len(fields) != 2:
                 raise DataError("expected 'drug_a<TAB>drug_b'", args.pairs, line_no)
             pair_ids.append((fields[0], fields[1]))
+    if len(pair_ids) < 2:  # the clustering views cluster the query batch
+        raise DataError(f"need at least 2 pairs, got {len(pair_ids)}", args.pairs)
+    model, _ = load_model(args.checkpoint, table)
+    train_triples = [(table.lookup(a), table.lookup(b), r)
+                     for a, b, r in read_ddi_file(args.train_ddis)]
+    graph = RelGraph.from_triples(len(table), model.n_relations, train_triples)
     pairs = [(table.lookup(a), table.lookup(b)) for a, b in pair_ids]
     pred, probs = predict(model, graph, pairs)
     lines = []

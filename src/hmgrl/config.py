@@ -46,7 +46,6 @@ class RunConfig:
 
     # structural knobs
     rgcn_depth: int = 1
-    dds_top_k: int = 0           # 0 = dense similarity graph
     cnn_channels: tuple = (32, 64, 96)
     cnn_kernels: tuple = (4, 6, 8)
     token_count: int = 4
@@ -66,7 +65,6 @@ class RunConfig:
     # augmentation / protocol
     mixup: bool = False
     mixup_alpha: float = 1.0
-    mirror_pairs: bool = False
     macro_auc: bool = False
 
     def __post_init__(self):

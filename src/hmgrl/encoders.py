@@ -67,11 +67,14 @@ class CnnBlock:
 
 
 def stack_smiles_pair(s_u: np.ndarray, s_v: np.ndarray) -> np.ndarray:
-    """Concatenate two one-hot SMILES matrices along positions, then flatten
-    channel-major into one row for the conv layout."""
-    if s_u.shape != (SMILES_CLASSES, SMILES_POSITIONS) or s_v.shape != s_u.shape:
+    """Concatenate one-hot SMILES matrices along positions, then flatten each
+    pair channel-major into one row for the conv layout.
+
+    Takes two 64x100 matrices (one row out) or two (..., 64, 100) stacks
+    (one row per leading index)."""
+    if s_u.shape[-2:] != (SMILES_CLASSES, SMILES_POSITIONS) or s_v.shape != s_u.shape:
         raise ShapeError("smiles matrices must be 64x100")
-    return np.hstack([s_u, s_v]).reshape(-1)
+    return np.concatenate([s_u, s_v], axis=-1).reshape(*s_u.shape[:-2], -1)
 
 
 @dataclass

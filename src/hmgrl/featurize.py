@@ -111,7 +111,8 @@ def encode_smiles(s: str) -> np.ndarray:
 
 
 def pair_attribute_sequence(a, b) -> np.ndarray:
-    """Elementwise sum of two binary sequences (entries 0/1/2)."""
+    """Elementwise sum of two binary sequences (entries 0/1/2); row by row
+    when given two K x T blocks."""
     a = np.asarray(a, dtype=np.int64)
     b = np.asarray(b, dtype=np.int64)
     if a.shape != b.shape:

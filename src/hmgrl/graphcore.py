@@ -136,24 +136,10 @@ class DDSGraph:
         }
 
     @classmethod
-    def from_table(cls, table: DrugTable, top_k: int | None = None) -> "DDSGraph":
-        """Dense by default (all drugs interconnected); optional top-k
-        sparsification keeps the k strongest neighbors per row, symmetrized."""
+    def from_table(cls, table: DrugTable) -> "DDSGraph":
+        """Dense: every pair of drugs is linked by its attribute similarity."""
         sims = attribute_similarities(table)
-        if top_k is not None:
-            for name, m in sims.items():
-                sims[name] = _sparsify_top_k(m, top_k)
         return cls(sims["targets"], sims["enzymes"], sims["substructures"])
-
-
-def _sparsify_top_k(m: np.ndarray, k: int) -> np.ndarray:
-    n = m.shape[0]
-    keep = np.zeros_like(m, dtype=bool)
-    for i in range(n):
-        order = np.argsort(-m[i], kind="stable")[:k]
-        keep[i, order] = True
-    keep |= keep.T  # keep symmetry
-    return np.where(keep, m, 0.0)
 
 
 # ------------------------------------------------------------- forward passes

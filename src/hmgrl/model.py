@@ -15,7 +15,12 @@ import numpy as np
 
 from . import numkit as nk
 from .config import RunConfig
-from .encoders import CnnBlock, EncoderBlock, assemble_comprehensive
+from .encoders import (
+    CnnBlock,
+    EncoderBlock,
+    assemble_comprehensive,
+    stack_smiles_pair,
+)
 from .errors import (
     DataError,
     NumericError,
@@ -28,6 +33,7 @@ from .featurize import (
     DrugTable,
     build_initial_features,
     encode_smiles,
+    pair_attribute_sequence,
     read_drug_table,
 )
 from .graphcore import (
@@ -112,9 +118,10 @@ class HmgrlModel:
 
         # constant table-level features
         self.initial_features = build_initial_features(table)   # N x 3N
-        self.dds = DDSGraph.from_table(table,
-                                       top_k=config.dds_top_k or None)
-        self.smiles_onehot = np.stack([encode_smiles(s) for s in table.smiles])
+        self.dds = DDSGraph.from_table(table)
+        # 0/1 bytes: each batch's float64 rows are then made once, by nk.constant
+        self.smiles_onehot = np.stack(
+            [encode_smiles(s) for s in table.smiles]).astype(np.uint8)
 
         d_in = self.initial_features.shape[1]
         d_embed = config.embed_dim
@@ -216,37 +223,21 @@ class HmgrlModel:
                           self.params["fuse.enzymes"],
                           self.params["fuse.substructures"])
 
-    def pair_constants(self, pairs: np.ndarray) -> dict:
-        """Constant per-pair inputs; precomputable for a whole fold and row-
-        sliceable per batch via slice_constants."""
-        pairs = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
-        us, vs = pairs[:, 0], pairs[:, 1]
-        if (us == vs).any():
-            raise ValidationError("a pair must join two distinct drugs")
-        smiles = np.concatenate([self.smiles_onehot[us], self.smiles_onehot[vs]],
-                                axis=2).reshape(len(pairs), -1)
-        sims = {"targets": self.dds.targets, "enzymes": self.dds.enzymes,
-                "substructures": self.dds.substructures}
-        attr_rows = {name: np.hstack([mat[us], mat[vs]]) for name, mat in sims.items()}
-        seqs = {
-            "targets": (self.table.targets[us] + self.table.targets[vs]).astype(float),
-            "enzymes": (self.table.enzymes[us] + self.table.enzymes[vs]).astype(float),
-            "substructures": (self.table.substructures[us]
-                              + self.table.substructures[vs]).astype(float),
-        }
-        return {"smiles": smiles, "attr_rows": attr_rows, "seqs": seqs}
-
-    def comprehensive_features(self, embeddings: nk.Tensor, pairs: np.ndarray,
-                               consts: dict) -> nk.Tensor:
-        us, vs = pairs[:, 0], pairs[:, 1]
-        h_smi = self.cnn.forward(nk.constant(consts["smiles"]))
+    def comprehensive_features(self, embeddings: nk.Tensor, us: np.ndarray,
+                               vs: np.ndarray) -> nk.Tensor:
+        h_smi = self.cnn.forward(nk.constant(
+            stack_smiles_pair(self.smiles_onehot[us], self.smiles_onehot[vs])))
         emb_pair = nk.concat_cols([nk.gather_rows(embeddings, us),
                                    nk.gather_rows(embeddings, vs)])
         h_emb = self.enc_embedding.forward(emb_pair)
-        h_tar = self.enc_targets.forward(nk.constant(consts["attr_rows"]["targets"]))
-        h_enz = self.enc_enzymes.forward(nk.constant(consts["attr_rows"]["enzymes"]))
+
+        def similarity_rows(sims):
+            return nk.constant(np.hstack([sims[us], sims[vs]]))
+
+        h_tar = self.enc_targets.forward(similarity_rows(self.dds.targets))
+        h_enz = self.enc_enzymes.forward(similarity_rows(self.dds.enzymes))
         h_sub = self.enc_substructures.forward(
-            nk.constant(consts["attr_rows"]["substructures"]))
+            similarity_rows(self.dds.substructures))
         return assemble_comprehensive(h_smi, h_emb, h_tar, h_enz, h_sub)
 
     def decode(self, representation: nk.Tensor, training: bool,
@@ -266,15 +257,25 @@ class HmgrlModel:
     def forward(self, graph: RelGraph, pairs, labels: np.ndarray | None = None,
                 training: bool = False,
                 dropout_rng: np.random.Generator | None = None,
-                mixup_rng: np.random.Generator | None = None,
-                consts: dict | None = None) -> ForwardResult:
+                mixup_rng: np.random.Generator | None = None) -> ForwardResult:
+        """Score a batch of drug pairs; each per-pair input is gathered from
+        the per-drug tables by the pairs' two index vectors."""
         pairs = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
-        if consts is None:
-            consts = self.pair_constants(pairs)
+        in_range = ((pairs >= 0) & (pairs < self.n_drugs)).all(axis=1)
+        bad = ~in_range | (pairs[:, 0] == pairs[:, 1])
+        if bad.any():
+            k = int(np.argmax(bad))
+            reason = ("a pair must join two distinct drugs" if in_range[k] else
+                      f"drug index out of range 0..{self.n_drugs - 1}")
+            raise ValidationError(f"pair ({pairs[k, 0]}, {pairs[k, 1]}): {reason}")
+        us, vs = pairs[:, 0], pairs[:, 1]
         embeddings = self.drug_embeddings(graph)
-        features = self.comprehensive_features(embeddings, pairs, consts)
+        features = self.comprehensive_features(embeddings, us, vs)
 
-        seq_sources = consts["seqs"]
+        seq_sources = {name: pair_attribute_sequence(mat[us], mat[vs])
+                       for name, mat in (("targets", self.table.targets),
+                                         ("enzymes", self.table.enzymes),
+                                         ("substructures", self.table.substructures))}
         labels_used = labels
         if training and self.config.mixup and labels is not None:
             if mixup_rng is None:
@@ -345,14 +346,6 @@ def one_hot(classes, n_classes: int) -> np.ndarray:
 
 # ------------------------------------------------------------------ training
 
-def slice_constants(consts: dict, idx: np.ndarray) -> dict:
-    return {
-        "smiles": consts["smiles"][idx],
-        "attr_rows": {k: v[idx] for k, v in consts["attr_rows"].items()},
-        "seqs": {k: v[idx] for k, v in consts["seqs"].items()},
-    }
-
-
 def _batches(n_items: int, batch_size: int, order: np.ndarray):
     """Contiguous slices of the shuffled order; a trailing slice of fewer
     than 2 items is merged into the previous batch."""
@@ -371,10 +364,7 @@ def train_fold(config: RunConfig, dataset: DdiDataset, fold: Fold,
     The relational graph is built from the fold's training interactions
     only; held-out edges never enter the adjacency.
     """
-    triples = list(fold.train)
-    if config.mirror_pairs:
-        triples = triples + [(v, u, r) for u, v, r in fold.train]
-    if len(triples) < 2:
+    if len(fold.train) < 2:
         raise ValidationError("training fold needs at least 2 interactions")
 
     graph = RelGraph.from_triples(dataset.n_drugs, dataset.n_relations, fold.train)
@@ -389,14 +379,13 @@ def train_fold(config: RunConfig, dataset: DdiDataset, fold: Fold,
     state = nk.OptimizerState(lr=config.learning_rate, beta1=config.adam_beta1,
                               beta2=config.adam_beta2, eps=config.adam_eps,
                               rectified=config.rectified)
-    pair_array = np.array([(u, v) for u, v, _ in triples], dtype=np.intp)
-    label_array = one_hot([r for _, _, r in triples], dataset.n_relations)
-    all_consts = model.pair_constants(pair_array)  # fixed per fold
+    pair_array = np.array([(u, v) for u, v, _ in fold.train], dtype=np.intp)
+    label_array = one_hot([r for _, _, r in fold.train], dataset.n_relations)
 
     records = []
     for epoch in range(config.epochs):
-        order = shuffle_rng.permutation(len(triples))
-        for batch_no, batch_idx in enumerate(_batches(len(triples),
+        order = shuffle_rng.permutation(len(pair_array))
+        for batch_no, batch_idx in enumerate(_batches(len(pair_array),
                                                       config.batch_size, order)):
             start = time.perf_counter()
             model.zero_grad()
@@ -404,8 +393,7 @@ def train_fold(config: RunConfig, dataset: DdiDataset, fold: Fold,
                 result = model.forward(graph, pair_array[batch_idx],
                                        labels=label_array[batch_idx],
                                        training=True, dropout_rng=dropout_rng,
-                                       mixup_rng=mixup_rng,
-                                       consts=slice_constants(all_consts, batch_idx))
+                                       mixup_rng=mixup_rng)
             total = result.loss_total
             if not np.isfinite(total.item()):
                 raise NumericError(

@@ -31,7 +31,6 @@ from .ops import (
     spmm,
     sub,
     sum_all,
-    trace,
     transpose,
 )
 from .tensor import Tape, Tensor, as_tensor, constant, no_grad, parameter
@@ -43,8 +42,7 @@ __all__ = [
     "frobenius_norm", "gather_rows", "global_max_pool", "layer_norm_rows",
     "load_checkpoint", "log_clamped", "matmul", "mul", "mul_rowvec",
     "no_grad", "parameter", "relu", "reshape", "save_checkpoint", "scale",
-    "slice_cols", "softmax_rows", "spmm", "sub", "sum_all", "trace",
-    "transpose",
+    "slice_cols", "softmax_rows", "spmm", "sub", "sum_all", "transpose",
 ]
 
 

@@ -295,18 +295,6 @@ def sum_all(a) -> Tensor:
     return make_output(np.array([[a.data.sum()]]), (a,), backward)
 
 
-def trace(a) -> Tensor:
-    a = as_tensor(a)
-    if a.shape[0] != a.shape[1]:
-        raise ShapeError(f"trace: square matrix required, got {a.shape}")
-    n = a.shape[0]
-
-    def backward(g):
-        a.accumulate(g[0, 0] * np.eye(n))
-
-    return make_output(np.array([[np.trace(a.data)]]), (a,), backward)
-
-
 def frobenius_norm(a) -> Tensor:
     a = as_tensor(a)
     norm = float(np.sqrt((a.data * a.data).sum()))

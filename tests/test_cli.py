@@ -190,6 +190,25 @@ def test_out_of_range_fold_index_is_usage_error(synth_dir, tmp_path, capsys):
                    "--out", run_dir) == EXIT_USAGE
 
 
+@pytest.mark.parametrize("lines", [0, 1])
+def test_predict_needs_two_pairs_naming_file(synth_dir, tmp_path, capsys, lines):
+    from hmgrl.config import apply_preset
+    from hmgrl.model import DdiDataset, HmgrlModel, save_model
+
+    data = DdiDataset.load(synth_dir / "drugs.tsv", synth_dir / "ddis.tsv")
+    ckpt = tmp_path / "model.ckpt"
+    save_model(ckpt, HmgrlModel(apply_preset("micro"), data.table, data.n_relations))
+    pairs = tmp_path / "pairs.tsv"
+    ids = data.table.ids
+    pairs.write_text(f"{ids[0]}\t{ids[1]}\n" * lines)
+    code = run_cli("predict", "--drugs", synth_dir / "drugs.tsv",
+                   "--train-ddis", synth_dir / "ddis.tsv", "--checkpoint", ckpt,
+                   "--pairs", pairs)
+    err = capsys.readouterr().err
+    assert code == EXIT_DATA
+    assert str(pairs) in err and f"got {lines}" in err
+
+
 def _checkpoint_records(blob: bytes):
     """(magic end, meta end, [(header start, header end, payload end)])."""
     from hmgrl.numkit import MAGIC

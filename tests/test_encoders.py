@@ -49,6 +49,12 @@ def test_cnn_real_smiles_pair_and_pad_permutation():
     s_u2[:, [50, 80]] = s_u2[:, [80, 50]]  # both all-zero pad columns
     out2 = block.forward(nk.constant(stack_smiles_pair(s_u2, s_v)[None, :])).data
     assert np.array_equal(out, out2)
+    # a stacked batch gives each pair's row, in order
+    onehot = np.stack([encode_smiles(s) for s in ("CCO", "c1ccccc1", "N#N", "")])
+    us, vs = np.array([0, 1, 3, 2]), np.array([1, 0, 2, 3])
+    batch = stack_smiles_pair(onehot[us], onehot[vs])
+    assert np.array_equal(batch, np.stack([stack_smiles_pair(onehot[u], onehot[v])
+                                           for u, v in zip(us, vs)]))
 
 
 def test_cnn_gradients():

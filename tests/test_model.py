@@ -3,7 +3,7 @@ import pytest
 
 from hmgrl import numkit as nk
 from hmgrl.config import apply_preset
-from hmgrl.errors import ShapeError
+from hmgrl.errors import ShapeError, ValidationError
 from hmgrl.evaluate import Fold, make_splits
 from hmgrl.graphcore import RelGraph
 from hmgrl.model import (
@@ -124,6 +124,20 @@ def test_forward_pair_order_sensitive():
     a = model.forward(graph, [(0, 1), (2, 3)]).probabilities.data
     b = model.forward(graph, [(1, 0), (2, 3)]).probabilities.data
     assert not np.allclose(a[0], b[0])
+
+
+@pytest.mark.parametrize("bad_pair, reason", [
+    ((2, 12), "out of range 0..11"),   # one past the last of 12 drugs
+    ((-1, 2), "out of range 0..11"),
+    ((3, 3), "distinct"),
+], ids=["past-last", "negative", "same-drug"])
+def test_forward_rejects_bad_pair_naming_it(bad_pair, reason):
+    data = micro_dataset()
+    model = HmgrlModel(micro_config(), data.table, data.n_relations, seed=1)
+    graph = RelGraph.from_triples(data.n_drugs, data.n_relations, data.triples)
+    with pytest.raises(ValidationError, match=reason) as err:
+        model.forward(graph, [(0, 1), bad_pair])
+    assert f"pair ({bad_pair[0]}, {bad_pair[1]})" in str(err.value)
 
 
 def test_inference_deterministic_under_dropout_config():

@@ -106,11 +106,6 @@ def test_dropout_rate_validation():
         nk.dropout(nk.constant([[1.0]]), 1.0, np.random.default_rng(0), True)
 
 
-def test_trace():
-    out = nk.trace(nk.constant(np.diag([1.0, 2.0, 3.0])))
-    assert out.item() == 6.0
-
-
 def test_two_op_chain_matches_manual_rule():
     # y = relu(x W); loss = sum(y); manual chain rule vs tape
     rng = np.random.default_rng(5)
