@@ -25,11 +25,10 @@ from .errors import (
     ParameterError,
     PartitionError,
     ShapeError,
-    UnknownDrugError,
     ValidationError,
 )
 from .evaluate import compute_metrics, make_splits, summarize_reports
-from .featurize import read_drug_table, write_drug_table
+from .featurize import read_drug_table, read_text_lines, write_drug_table
 from .graphcore import RelGraph, read_ddi_file, write_ddi_file
 from .model import (
     DdiDataset,
@@ -115,7 +114,7 @@ def cmd_synth(args) -> int:
     # round-trip well-formedness check before declaring success
     reloaded = read_drug_table(out / "drugs.tsv")
     assert reloaded.ids == table.ids
-    read_ddi_file(out / "ddis.tsv")
+    read_ddi_file(out / "ddis.tsv", reloaded)
     print(f"wrote {len(table)} drugs, {len(triples)} interactions to {out}")
     return 0
 
@@ -227,27 +226,21 @@ def cmd_eval(args) -> int:
 
 def cmd_predict(args) -> int:
     table = read_drug_table(args.drugs)
-    pair_ids = []
-    with open(args.pairs, "r", encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != 2:
-                raise DataError("expected 'drug_a<TAB>drug_b'", args.pairs, line_no)
-            pair_ids.append((fields[0], fields[1]))
-    if len(pair_ids) < 2:  # the clustering views cluster the query batch
-        raise DataError(f"need at least 2 pairs, got {len(pair_ids)}", args.pairs)
+    pairs = []
+    for line_no, line in read_text_lines(args.pairs):
+        fields = line.split("\t")
+        if len(fields) != 2:
+            raise DataError("expected 'drug_a<TAB>drug_b'", args.pairs, line_no)
+        pairs.append(tuple(table.lookup(d, args.pairs, line_no) for d in fields))
+    if len(pairs) < 2:  # the clustering views cluster the query batch
+        raise DataError(f"need at least 2 pairs, got {len(pairs)}", args.pairs)
     model, _ = load_model(args.checkpoint, table)
-    train_triples = [(table.lookup(a), table.lookup(b), r)
-                     for a, b, r in read_ddi_file(args.train_ddis)]
+    train_triples = read_ddi_file(args.train_ddis, table)
     graph = RelGraph.from_triples(len(table), model.n_relations, train_triples)
-    pairs = [(table.lookup(a), table.lookup(b)) for a, b in pair_ids]
     pred, probs = predict(model, graph, pairs)
     lines = []
-    for (a, b), cls, row in zip(pair_ids, pred, probs):
-        lines.append("\t".join([a, b, str(int(cls))]
+    for (u, v), cls, row in zip(pairs, pred, probs):
+        lines.append("\t".join([table.ids[u], table.ids[v], str(int(cls))]
                                + [f"{p:.12g}" for p in row]))
     text = "\n".join(lines) + "\n"
     if args.out:
@@ -357,8 +350,8 @@ def main(argv=None) -> int:
     except ParameterError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    except (DataError, ValidationError, UnknownDrugError, ShapeError,
-            PartitionError, FileNotFoundError) as err:
+    except (DataError, ValidationError, ShapeError, PartitionError,
+            FileNotFoundError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_DATA
     except (NumericError, BatchSizeError) as err:

@@ -100,10 +100,22 @@ class RunConfig:
         unknown = set(data) - known
         if unknown:
             raise ParameterError(f"unknown config keys: {sorted(unknown)}")
+        for f in dataclasses.fields(cls):
+            if f.name in data and not _fits(data[f.name], f.default):
+                raise ParameterError(f"config key {f.name!r} must be of type "
+                                     f"{type(f.default).__name__}, got {data[f.name]!r}")
         return cls(**data)
 
     def replace(self, **kwargs) -> "RunConfig":
         return dataclasses.replace(self, **kwargs)
+
+
+def _fits(value, default) -> bool:
+    """Whether a config value has its field's type (ints pass as floats)."""
+    if isinstance(default, tuple):
+        return isinstance(value, (list, tuple)) and all(_fits(v, 0) for v in value)
+    kinds = (int, float) if isinstance(default, float) else type(default)
+    return isinstance(value, kinds) and isinstance(value, bool) == isinstance(default, bool)
 
 
 # Published best-accuracy rows, keyed as <dataset>-<task>.
@@ -162,5 +174,12 @@ def save_config(path, config: RunConfig) -> None:
 
 
 def load_config(path) -> RunConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return RunConfig.from_dict(json.load(fh))
+    """Read a config file; any defect in it is a ParameterError naming it."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+        if not isinstance(data, dict):
+            raise ParameterError("a config file must hold one JSON object")
+        return RunConfig.from_dict(data)
+    except (UnicodeDecodeError, json.JSONDecodeError, ParameterError) as err:
+        raise ParameterError(f"{path}: {err}") from None

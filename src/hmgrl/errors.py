@@ -35,7 +35,7 @@ class DataError(HmgrlError):
         self.line = line
 
 
-class UnknownDrugError(HmgrlError):
+class UnknownDrugError(DataError):
     """A drug id was not found in the drug table."""
 
 

@@ -97,51 +97,31 @@ class MetricReport:
         }
 
 
-def _binary_auc_midrank(scores: np.ndarray, positives: np.ndarray) -> float:
-    """Mann-Whitney statistic with midranks for ties."""
-    order = np.argsort(scores, kind="stable")
-    ranks = np.empty(len(scores))
-    sorted_scores = scores[order]
-    i = 0
-    while i < len(scores):
-        j = i
-        while j + 1 < len(scores) and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0  # midrank, 1-based
-        i = j + 1
+def _curve_areas(scores: np.ndarray, positives: np.ndarray) -> tuple[float, float]:
+    """(AUPR, AUC) from one descending sweep over the tie groups of scores.
+
+    AUPR steps the precision-recall curve at each distinct-score threshold;
+    AUC is the Mann-Whitney statistic with midranks for ties.
+    """
+    n = len(scores)
     n_pos = int(positives.sum())
-    n_neg = len(scores) - n_pos
-    if n_pos == 0 or n_neg == 0:
-        raise ValidationError("AUC undefined without both classes")
-    rank_sum = ranks[positives].sum()
-    return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
-
-
-def _binary_aupr(scores: np.ndarray, positives: np.ndarray) -> float:
-    """Step integration of the precision-recall curve at distinct-score
-    thresholds, sweeping scores in descending order with tie groups."""
+    if n_pos == 0:
+        raise ValidationError("curve areas undefined without positives")
+    if n_pos == n:
+        raise ValidationError("curve areas undefined without negatives")
     order = np.argsort(-scores, kind="stable")
     s = scores[order]
-    p = positives[order]
-    n_pos = int(p.sum())
-    if n_pos == 0:
-        raise ValidationError("AUPR undefined without positives")
-    area = 0.0
-    tp = fp = 0
-    prev_recall = 0.0
-    i = 0
-    while i < len(s):
-        j = i
-        while j + 1 < len(s) and s[j + 1] == s[i]:
-            j += 1
-        tp += int(p[i:j + 1].sum())
-        fp += (j - i + 1) - int(p[i:j + 1].sum())
-        recall = tp / n_pos
-        precision = tp / (tp + fp)
-        area += (recall - prev_recall) * precision
-        prev_recall = recall
-        i = j + 1
-    return area
+    ends = np.flatnonzero(np.append(s[1:] != s[:-1], True))  # last index per group
+    tp = np.cumsum(positives[order])[ends]
+    recall = tp / n_pos
+    precision = tp / (ends + 1)
+    # summed in group order, as a running sum over the thresholds would be
+    aupr = np.cumsum(np.diff(recall, prepend=0.0) * precision)[-1]
+    starts = np.append(0, ends[:-1] + 1)
+    midranks = ((n - 1 - ends) + (n - 1 - starts)) / 2.0 + 1.0  # ascending, 1-based
+    rank_sum = (np.diff(tp, prepend=0) * midranks).sum()  # exact half-integers
+    auc = (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * (n - n_pos))
+    return float(aupr), float(auc)
 
 
 def compute_metrics(scores: np.ndarray, labels: np.ndarray,
@@ -164,26 +144,24 @@ def compute_metrics(scores: np.ndarray, labels: np.ndarray,
     skipped = tuple(c for c in range(r) if c not in present)
 
     if macro_curves:
-        aucs, auprs, curve_skipped = [], [], []
+        areas, curve_skipped = [], []
         for c in present:
             pos = true_class == c
             if pos.all() or not pos.any():
                 curve_skipped.append(c)
                 continue
-            aucs.append(_binary_auc_midrank(scores[:, c], pos))
-            auprs.append(_binary_aupr(scores[:, c], pos))
-        if not aucs:
+            areas.append(_curve_areas(scores[:, c], pos))
+        if not areas:
             raise ValidationError("macro curves undefined: single-class labels")
         if curve_skipped:
             warnings.warn(f"macro curves skipped single-class events {curve_skipped}")
-        auc = float(np.mean(aucs))
-        aupr = float(np.mean(auprs))
+        aupr = float(np.mean([a for a, _ in areas]))
+        auc = float(np.mean([a for _, a in areas]))
         averaging = "macro-curves/macro-prf"
     else:
         flat_scores = scores.ravel()
         flat_pos = labels.ravel() > 0.5
-        auc = _binary_auc_midrank(flat_scores, flat_pos)
-        aupr = _binary_aupr(flat_scores, flat_pos)
+        aupr, auc = _curve_areas(flat_scores, flat_pos)
         averaging = "micro-curves/macro-prf"
 
     acc = float((pred_class == true_class).mean())

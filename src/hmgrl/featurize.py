@@ -7,6 +7,7 @@ per-pair attribute sequences.
 
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,11 +59,12 @@ class DrugTable:
     def __len__(self) -> int:
         return len(self.ids)
 
-    def lookup(self, drug_id: str) -> int:
+    def lookup(self, drug_id: str, path=None, line=None) -> int:
+        """Index of a drug id; (path, line) locate it in the error message."""
         try:
             return self.index[drug_id]
         except KeyError:
-            raise UnknownDrugError(f"unknown drug id {drug_id!r}") from None
+            raise UnknownDrugError(f"unknown drug id {drug_id!r}", path, line) from None
 
 
 def cosine_similarity_matrix(seqs) -> np.ndarray:
@@ -92,12 +94,6 @@ def attribute_similarities(table: DrugTable) -> dict[str, np.ndarray]:
     }
 
 
-def build_initial_features(table: DrugTable) -> np.ndarray:
-    """N x 3N node features: the three similarity blocks side by side."""
-    sims = attribute_similarities(table)
-    return np.hstack([sims["targets"], sims["enzymes"], sims["substructures"]])
-
-
 def encode_smiles(s: str) -> np.ndarray:
     """64 x 100 one-hot matrix; overflow truncated, shortfall zero-padded.
 
@@ -121,6 +117,19 @@ def pair_attribute_sequence(a, b) -> np.ndarray:
 
 
 # ------------------------------------------------------------------ file I/O
+
+def read_text_lines(path) -> list[tuple[int, str]]:
+    """(line number, text) for each non-blank line of a UTF-8 file; bytes that
+    are not UTF-8 are a DataError naming their line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        raise DataError("not UTF-8 text", path, data.count(b"\n", 0, err.start) + 1) from None
+    return [(line_no, line.rstrip("\n")) for line_no, line
+            in enumerate(io.StringIO(text, newline=None), start=1) if line != "\n"]
+
 
 def _format_indices(row: np.ndarray) -> str:
     return ",".join(str(i) for i in np.flatnonzero(row))
@@ -159,37 +168,33 @@ def write_drug_table(path, table: DrugTable) -> None:
 
 
 def read_drug_table(path) -> DrugTable:
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n")
-        parts = header.split("\t")
-        if len(parts) != 4 or parts[0] != "#universe":
-            raise DataError("bad header line (expected '#universe\\ttargets=..'"
-                            "\\tenzymes=..\\tsubstructures=..')", path, 1)
-        sizes = {}
-        for piece in parts[1:]:
-            key, _, value = piece.partition("=")
-            try:
-                sizes[key] = int(value)
-            except ValueError:
-                raise DataError(f"bad universe size {piece!r}", path, 1) from None
-        missing = {"targets", "enzymes", "substructures"} - sizes.keys()
-        if missing:
-            raise DataError(f"header missing sizes for {sorted(missing)}", path, 1)
+    lines = read_text_lines(path)
+    parts = lines[0][1].split("\t") if lines and lines[0][0] == 1 else []
+    if len(parts) != 4 or parts[0] != "#universe":
+        raise DataError("bad header line (expected '#universe\\ttargets=..'"
+                        "\\tenzymes=..\\tsubstructures=..')", path, 1)
+    sizes = {}
+    for piece in parts[1:]:
+        key, _, value = piece.partition("=")
+        try:
+            sizes[key] = int(value)
+        except ValueError:
+            raise DataError(f"bad universe size {piece!r}", path, 1) from None
+    missing = {"targets", "enzymes", "substructures"} - sizes.keys()
+    if missing:
+        raise DataError(f"header missing sizes for {sorted(missing)}", path, 1)
 
-        ids, smiles, tars, enzs, subs = [], [], [], [], []
-        for line_no, raw in enumerate(fh, start=2):
-            line = raw.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != 5:
-                raise DataError(f"expected 5 tab-separated fields, got {len(fields)}",
-                                path, line_no)
-            ids.append(fields[0])
-            smiles.append(fields[1])
-            tars.append(_parse_indices(fields[2], sizes["targets"], path, line_no))
-            enzs.append(_parse_indices(fields[3], sizes["enzymes"], path, line_no))
-            subs.append(_parse_indices(fields[4], sizes["substructures"], path, line_no))
+    ids, smiles, tars, enzs, subs = [], [], [], [], []
+    for line_no, line in lines[1:]:
+        fields = line.split("\t")
+        if len(fields) != 5:
+            raise DataError(f"expected 5 tab-separated fields, got {len(fields)}",
+                            path, line_no)
+        ids.append(fields[0])
+        smiles.append(fields[1])
+        tars.append(_parse_indices(fields[2], sizes["targets"], path, line_no))
+        enzs.append(_parse_indices(fields[3], sizes["enzymes"], path, line_no))
+        subs.append(_parse_indices(fields[4], sizes["substructures"], path, line_no))
     if not ids:
         raise DataError("drug table has no drugs", path)
     return DrugTable(ids, smiles, np.array(tars), np.array(enzs), np.array(subs))

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import numkit as nk
 from .errors import DataError, ShapeError, ValidationError
-from .featurize import DrugTable, attribute_similarities
+from .featurize import DrugTable, attribute_similarities, read_text_lines
 
 
 def normalize_adjacency(a: np.ndarray) -> np.ndarray:
@@ -207,29 +207,23 @@ def write_ddi_file(path, triples) -> None:
             fh.write(f"{a}\t{b}\t{r}\n")
 
 
-def read_ddi_file(path) -> list[tuple[str, str, int]]:
+def read_ddi_file(path, table: DrugTable) -> list[tuple[int, int, int]]:
+    """Index triples (u, v, event) of a drug_a<TAB>drug_b<TAB>event file, its
+    drug ids resolved against the table; each defect names its line."""
     triples = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != 3:
-                raise DataError(f"expected 3 tab-separated fields, got {len(fields)}",
-                                path, line_no)
-            try:
-                event = int(fields[2])
-            except ValueError:
-                raise DataError(f"bad event type {fields[2]!r}", path, line_no) from None
-            if event < 0:
-                raise DataError(f"event type must be >= 0, got {event}", path, line_no)
-            if fields[0] == fields[1]:
-                raise DataError("self-interaction not allowed", path, line_no)
-            triples.append((fields[0], fields[1], event))
+    for line_no, line in read_text_lines(path):
+        fields = line.split("\t")
+        if len(fields) != 3:
+            raise DataError(f"expected 3 tab-separated fields, got {len(fields)}",
+                            path, line_no)
+        try:
+            event = int(fields[2])
+        except ValueError:
+            raise DataError(f"bad event type {fields[2]!r}", path, line_no) from None
+        if event < 0:
+            raise DataError(f"event type must be >= 0, got {event}", path, line_no)
+        if fields[0] == fields[1]:
+            raise DataError("self-interaction not allowed", path, line_no)
+        triples.append((table.lookup(fields[0], path, line_no),
+                        table.lookup(fields[1], path, line_no), event))
     return triples
-
-
-def resolve_triples(table: DrugTable, triples) -> list[tuple[int, int, int]]:
-    """Map drug-id triples to index triples against the table."""
-    return [(table.lookup(a), table.lookup(b), r) for a, b, r in triples]

@@ -31,7 +31,6 @@ from .errors import (
 from .evaluate import Fold
 from .featurize import (
     DrugTable,
-    build_initial_features,
     encode_smiles,
     pair_attribute_sequence,
     read_drug_table,
@@ -42,7 +41,6 @@ from .graphcore import (
     dds_propagate,
     fuse_ragse,
     read_ddi_file,
-    resolve_triples,
     rgcn_forward,
 )
 from .mvdsc import VIEW_ORDER, DscView, mvdsc_forward
@@ -59,7 +57,7 @@ class DdiDataset:
     @classmethod
     def load(cls, drug_table_path, ddi_path) -> "DdiDataset":
         table = read_drug_table(drug_table_path)
-        triples = resolve_triples(table, read_ddi_file(ddi_path))
+        triples = read_ddi_file(ddi_path, table)
         if not triples:
             raise ValidationError("dataset has no interactions")
         n_relations = max(r for _, _, r in triples) + 1
@@ -117,8 +115,9 @@ class HmgrlModel:
         init_rng = np.random.default_rng(seed)
 
         # constant table-level features
-        self.initial_features = build_initial_features(table)   # N x 3N
         self.dds = DDSGraph.from_table(table)
+        self.initial_features = np.hstack(   # N x 3N
+            [self.dds.targets, self.dds.enzymes, self.dds.substructures])
         # 0/1 bytes: each batch's float64 rows are then made once, by nk.constant
         self.smiles_onehot = np.stack(
             [encode_smiles(s) for s in table.smiles]).astype(np.uint8)
@@ -449,7 +448,7 @@ def load_model(path, table: DrugTable) -> tuple[HmgrlModel, dict]:
         raise DataError("meta record has no config object", path=path)
     try:
         config = RunConfig.from_dict(meta["config"])
-    except (ParameterError, TypeError) as err:
+    except ParameterError as err:
         raise DataError(f"bad config in meta record: {err}", path=path) from None
     if meta["n_drugs"] != len(table):
         raise DataError(f"checkpoint built for {meta['n_drugs']} drugs, "

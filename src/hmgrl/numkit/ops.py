@@ -245,9 +245,8 @@ def gather_rows(a, index) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            buf = np.zeros_like(a.data)
-            np.add.at(buf, idx, g)
-            a.accumulate(buf)
+            a.accumulate(_scatter_rows(idx, np.arange(idx.size), np.ones(idx.size),
+                                       a.shape[0], g))
 
     return make_output(a.data[idx], (a,), backward)
 

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import ParameterError, ShapeError
+from ..errors import NumericError, ParameterError, ShapeError
 from .tensor import Tensor
 
 
@@ -33,6 +33,9 @@ class OptimizerState:
 def adam_step(params: dict[str, Tensor], state: OptimizerState) -> None:
     """One in-place update over named parameters; missing grads count as zero.
 
+    A NaN or infinite gradient raises NumericError naming the first such
+    parameter, and then nothing is updated.
+
     Plain Adam with bias correction by default. With state.rectified, the
     second-moment term is used only once its variance estimate is tractable
     (rho_t > 4), scaled by the rectification factor; before that the update
@@ -40,6 +43,9 @@ def adam_step(params: dict[str, Tensor], state: OptimizerState) -> None:
     """
     if state.lr <= 0:
         raise ParameterError(f"learning rate must be > 0, got {state.lr}")
+    for name, p in params.items():  # before any state or parameter changes
+        if p.grad is not None and not np.isfinite(p.grad).all():
+            raise NumericError(f"non-finite gradient in parameter {name!r}")
     state.step += 1
     t = state.step
     b1, b2 = state.beta1, state.beta2

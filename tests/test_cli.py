@@ -115,13 +115,72 @@ def test_missing_file_exit_code(tmp_path):
                    "--ddis", tmp_path / "absent2.tsv") == EXIT_DATA
 
 
-def test_malformed_ddi_reports_line(synth_dir, tmp_path, capsys):
-    bad = tmp_path / "bad_ddis.tsv"
-    bad.write_text("SYN0000\tSYN0001\t0\nSYN0000\tSYN0002\n")
-    code = run_cli("split", "--drugs", synth_dir / "drugs.tsv", "--ddis", bad)
+@pytest.mark.parametrize("kind, bad_line, message", [
+    ("drugs", b"DX\tCC\t0\t1", "expected 5 tab-separated fields, got 4"),
+    ("drugs", b"DX\tCC\tx\t1\t0", "bad descriptor index 'x'"),
+    ("drugs", b"DX\tCC\t10\t1\t0", "descriptor index 10 out of range 0..9"),
+    ("drugs", b"DX\tCC\t0\t-1\t0", "descriptor index -1 out of range 0..7"),
+    ("drugs", b"DX\tC\xffC\t0\t1\t0", "not UTF-8"),
+    ("ddis", b"SYN0000\tSYN0002", "expected 3 tab-separated fields, got 2"),
+    ("ddis", b"SYN0000\tSYN0002\tx", "bad event type 'x'"),
+    ("ddis", b"SYN0000\tSYN0002\t-1", "event type must be >= 0, got -1"),
+    ("ddis", b"SYN0003\tSYN0003\t0", "self-interaction"),
+    ("ddis", b"SYN0000\tNOPE\t0", "unknown drug id 'NOPE'"),
+    ("ddis", b"SYN0000\tSYN\xe90002\t0", "not UTF-8"),
+    ("pairs", b"SYN0000", "expected 'drug_a<TAB>drug_b'"),
+    ("pairs", b"NOPE\tSYN0001", "unknown drug id 'NOPE'"),
+    ("pairs", b"\xff\xfe\tSYN0001", "not UTF-8"),
+], ids=["drugs-fields", "drugs-bad-index", "drugs-index-past-end",
+        "drugs-negative-index", "drugs-not-utf8", "ddis-fields", "ddis-bad-event",
+        "ddis-negative-event", "ddis-self", "ddis-unknown-id", "ddis-not-utf8",
+        "pairs-fields", "pairs-unknown-id", "pairs-not-utf8"])
+def test_malformed_data_line_names_file_and_line(synth_dir, tmp_path, capsys,
+                                                 kind, bad_line, message):
+    files = {"drugs": (synth_dir / "drugs.tsv").read_bytes(),
+             "ddis": (synth_dir / "ddis.tsv").read_bytes(),
+             "pairs": b"SYN0000\tSYN0001\nSYN0002\tSYN0003\n"}
+    head = files[kind].split(b"\n", 2)  # the bad line becomes line 3
+    files[kind] = head[0] + b"\n" + head[1] + b"\n" + bad_line + b"\n" + head[2]
+    paths = {}
+    for name, blob in files.items():
+        paths[name] = tmp_path / f"{name}.tsv"
+        paths[name].write_bytes(blob)
+    if kind == "pairs":  # the pairs file is read before the checkpoint
+        code = run_cli("predict", "--drugs", paths["drugs"], "--train-ddis",
+                       paths["ddis"], "--checkpoint", tmp_path / "absent.ckpt",
+                       "--pairs", paths["pairs"])
+    else:
+        code = run_cli("split", "--drugs", paths["drugs"], "--ddis", paths["ddis"])
     err = capsys.readouterr().err
     assert code == EXIT_DATA
-    assert ":2:" in err  # names the offending line
+    assert f"{paths[kind]}:3: " in err and message in err
+
+
+@pytest.mark.parametrize("text, message", [
+    (b"{bad", "Expecting property name"),
+    (b"[1, 2]", "one JSON object"),
+    (b'{"seed": "\xff"}', "can't decode"),
+    (b'{"batch_size": "big"}', "'batch_size' must be of type int, got 'big'"),
+    (b'{"learning_rate": true}', "'learning_rate' must be of type float"),
+    (b'{"mixup": 1}', "'mixup' must be of type bool"),
+    (b'{"cnn_kernels": [3, "5"]}', "'cnn_kernels' must be of type tuple"),
+    (b'{"no_such_key": 1}', "unknown config keys"),
+], ids=["not-json", "not-object", "not-utf8", "int-field", "float-field",
+        "bool-field", "tuple-field", "unknown-key"])
+def test_bad_config_file_is_usage_error_naming_it(synth_dir, tmp_path, capsys,
+                                                  text, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(text)
+    assert run_cli("train", "--config", cfg, "--drugs", synth_dir / "drugs.tsv",
+                   "--ddis", synth_dir / "ddis.tsv", "--out", tmp_path / "x") == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert str(cfg) in err and message in err
+    run_config = tmp_path / "run" / "config" / "config.json"  # a run's own echo
+    run_config.parent.mkdir(parents=True)
+    run_config.write_bytes(text)
+    assert run_cli("eval", "--run", tmp_path / "run") == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert str(run_config) in err and message in err
 
 
 def test_unknown_preset_is_usage_error(synth_dir, capsys):
@@ -156,13 +215,15 @@ def test_config_file_roundtrip(tmp_path):
 
 
 def test_synth_many_events_picks_enough_classes(tmp_path):
-    from hmgrl.featurize import write_drug_table
+    from hmgrl.featurize import read_drug_table, write_drug_table
     from hmgrl.graphcore import read_ddi_file, write_ddi_file
     from hmgrl.synth import SynthSpec, generate
 
     assert run_cli("synth", "--out", tmp_path / "many", "--events", 65,
                    "--drugs", 200) == 0
-    events = {r for _, _, r in read_ddi_file(tmp_path / "many" / "ddis.tsv")}
+    many = tmp_path / "many"
+    events = {r for _, _, r in read_ddi_file(many / "ddis.tsv",
+                                             read_drug_table(many / "drugs.tsv"))}
     assert max(events) < 65
     # 65 events need 11 classes of at least 2 drugs each
     assert run_cli("synth", "--out", tmp_path / "few", "--events", 65,

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hmgrl.config import apply_preset
 from hmgrl.errors import DataError, UnknownDrugError, ValidationError
 from hmgrl.featurize import (
     SMILES_CLASSES,
@@ -8,13 +9,13 @@ from hmgrl.featurize import (
     SMILES_UNKNOWN,
     SMILES_VOCAB,
     DrugTable,
-    build_initial_features,
     cosine_similarity_matrix,
     encode_smiles,
     pair_attribute_sequence,
     read_drug_table,
     write_drug_table,
 )
+from hmgrl.model import HmgrlModel
 
 
 def make_table(rng, n=4, t=6, e=5, s=7):
@@ -60,6 +61,11 @@ def test_cosine_length_mismatch():
         cosine_similarity_matrix(np.array([1, 0, 1]))  # not 2-D
 
 
+def initial_features(table):
+    """The model's N x 3N node features, as its constructor builds them."""
+    return HmgrlModel(apply_preset("micro"), table, n_relations=2).initial_features
+
+
 def test_initial_features_all_identical_attributes():
     table = DrugTable(
         ids=["a", "b"],
@@ -68,7 +74,7 @@ def test_initial_features_all_identical_attributes():
         enzymes=[[1], [1]],
         substructures=[[1, 0], [1, 0]],
     )
-    x = build_initial_features(table)
+    x = initial_features(table)
     assert x.shape == (2, 6)
     assert np.allclose(x, 1.0)
 
@@ -76,7 +82,7 @@ def test_initial_features_all_identical_attributes():
 def test_initial_features_shape_and_content():
     rng = np.random.default_rng(5)
     table = make_table(rng, n=3)
-    x = build_initial_features(table)
+    x = initial_features(table)
     assert x.shape == (3, 9)
     # row u is the concat of u's similarity rows, recomputed independently
     for u in range(3):

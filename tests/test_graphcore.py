@@ -11,7 +11,6 @@ from hmgrl.graphcore import (
     fuse_ragse,
     normalize_adjacency,
     read_ddi_file,
-    resolve_triples,
     rgcn_forward,
     write_ddi_file,
 )
@@ -293,24 +292,29 @@ def test_cold_start_repair():
 
 
 def test_ddi_file_roundtrip_and_errors(tmp_path):
+    table = DrugTable(["a", "b", "c"], ["C"] * 3, [[1]] * 3, [[1]] * 3, [[1]] * 3)
     triples = [("a", "b", 0), ("b", "c", 2), ("a", "c", 1)]
     path = tmp_path / "ddis.tsv"
     write_ddi_file(path, triples)
-    assert read_ddi_file(path) == triples
-    write_ddi_file(tmp_path / "again.tsv", read_ddi_file(path))
+    resolved = read_ddi_file(path, table)
+    assert resolved == [(0, 1, 0), (1, 2, 2), (0, 2, 1)]
+    write_ddi_file(tmp_path / "again.tsv",
+                   [(table.ids[u], table.ids[v], r) for u, v, r in resolved])
     assert (tmp_path / "again.tsv").read_bytes() == path.read_bytes()
 
     bad = tmp_path / "bad.tsv"
     bad.write_text("a\tb\t0\na\tb\n")
     with pytest.raises(DataError) as err:
-        read_ddi_file(bad)
+        read_ddi_file(bad, table)
     assert ":2:" in str(err.value)
 
 
-def test_resolve_triples_unknown_drug():
+def test_resolve_triples_unknown_drug(tmp_path):
     from hmgrl.errors import UnknownDrugError
 
     table = DrugTable(["a", "b"], ["C", "C"], [[1], [1]], [[1], [1]], [[1], [1]])
-    assert resolve_triples(table, [("a", "b", 0)]) == [(0, 1, 0)]
-    with pytest.raises(UnknownDrugError):
-        resolve_triples(table, [("a", "zzz", 0)])
+    path = tmp_path / "ddis.tsv"
+    path.write_text("a\tb\t0\n\na\tzzz\t0\n")
+    with pytest.raises(UnknownDrugError) as err:
+        read_ddi_file(path, table)
+    assert f"{path}:3: unknown drug id 'zzz'" in str(err.value)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hmgrl import numkit as nk
-from hmgrl.errors import ParameterError, ShapeError
+from hmgrl.errors import NumericError, ParameterError, ShapeError
 from hmgrl.oracle import finite_difference_grad
 
 
@@ -286,6 +286,19 @@ def test_adam_zero_gradient_keeps_params():
     nk.adam_step({"p": p}, state)
     assert np.array_equal(p.data, [[1.0, -2.0]])
     assert state.step == 1
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_adam_rejects_non_finite_gradient_before_any_update(bad):
+    first, second = nk.parameter([[1.0, -2.0]]), nk.parameter([[3.0, 4.0]])
+    first.grad = np.array([[0.5, 0.5]])
+    second.grad = np.array([[0.1, bad]])
+    state = nk.OptimizerState(lr=0.1)
+    with pytest.raises(NumericError, match="'second'"):
+        nk.adam_step({"first": first, "second": second}, state)
+    assert state.step == 0 and not state.m and not state.v
+    assert np.array_equal(first.data, [[1.0, -2.0]])
+    assert np.array_equal(second.data, [[3.0, 4.0]])
 
 
 def test_adam_minimizes_quadratic():
