@@ -350,9 +350,12 @@ def main(argv=None) -> int:
     except ParameterError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    except (DataError, ValidationError, ShapeError, PartitionError,
-            FileNotFoundError) as err:
+    except (DataError, ValidationError, ShapeError, PartitionError) as err:
         print(f"error: {err}", file=sys.stderr)
+        return EXIT_DATA
+    except OSError as err:  # a path that cannot be read or written as a file
+        where = "" if err.filename is None else f"{err.filename}: "
+        print(f"error: {where}{err.strerror or err}", file=sys.stderr)
         return EXIT_DATA
     except (NumericError, BatchSizeError) as err:
         print(f"error: {err}", file=sys.stderr)

@@ -181,5 +181,7 @@ def load_config(path) -> RunConfig:
         if not isinstance(data, dict):
             raise ParameterError("a config file must hold one JSON object")
         return RunConfig.from_dict(data)
+    except OSError as err:
+        raise ParameterError(f"{path}: {err.strerror or err}") from None
     except (UnicodeDecodeError, json.JSONDecodeError, ParameterError) as err:
         raise ParameterError(f"{path}: {err}") from None

@@ -1,7 +1,8 @@
 """Multi-source pair-feature encoders.
 
-One 1-D CNN over stacked SMILES matrices plus four identical FC + attention
-encoders (embedding pairs, target/enzyme/substructure similarity pairs).
+One 1-D CNN over each pair's stacked SMILES character indices plus four
+identical FC + attention encoders (embedding pairs, target/enzyme/substructure
+similarity pairs).
 Their outputs concatenate into the comprehensive pair feature, ordered
 (smiles, embedding, targets, enzymes, substructures).
 """
@@ -53,28 +54,25 @@ class CnnBlock:
                    positions, params)
 
     def forward(self, smiles_rows) -> nk.Tensor:
-        """smiles_rows: K x (in_channels * positions), channel-major rows."""
-        x = nk.as_tensor(smiles_rows)
-        c_prev, length = self.in_channels, self.positions
-        for i, (c, w) in enumerate(zip(self.channels, self.kernel_widths)):
-            x = nk.conv1d_bank(x, self.params[f"{self.prefix}.conv{i}.w"],
-                               self.params[f"{self.prefix}.conv{i}.b"], c_prev, length)
-            x = nk.relu(x)
-            c_prev, length = c, length - w + 1
-        pooled = nk.global_max_pool(x, c_prev, length)
-        return nk.add_rowvec(nk.matmul(pooled, self.params[f"{self.prefix}.proj.w"]),
-                             self.params[f"{self.prefix}.proj.b"])
+        """smiles_rows: K x positions character indices (see conv1d_onehot);
+        stage 0 gathers kernel columns instead of convolving a one-hot input."""
+        rows = np.asarray(smiles_rows)
+        if rows.ndim != 2 or rows.shape[1] != self.positions:
+            raise ShapeError(f"{self.prefix}: index rows of shape {rows.shape}, "
+                             f"need K x {self.positions}")
+        p = self.params
 
+        def stage(i):
+            return p[f"{self.prefix}.conv{i}.w"], p[f"{self.prefix}.conv{i}.b"]
 
-def stack_smiles_pair(s_u: np.ndarray, s_v: np.ndarray) -> np.ndarray:
-    """Concatenate one-hot SMILES matrices along positions, then flatten each
-    pair channel-major into one row for the conv layout.
-
-    Takes two 64x100 matrices (one row out) or two (..., 64, 100) stacks
-    (one row per leading index)."""
-    if s_u.shape[-2:] != (SMILES_CLASSES, SMILES_POSITIONS) or s_v.shape != s_u.shape:
-        raise ShapeError("smiles matrices must be 64x100")
-    return np.concatenate([s_u, s_v], axis=-1).reshape(*s_u.shape[:-2], -1)
+        x = nk.relu(nk.conv1d_onehot(rows, *stage(0), self.in_channels))
+        length = self.positions - self.kernel_widths[0] + 1
+        for i in range(1, len(self.channels)):
+            x = nk.relu(nk.conv1d_bank(x, *stage(i), self.channels[i - 1], length))
+            length -= self.kernel_widths[i] - 1
+        pooled = nk.global_max_pool(x, self.channels[-1], length)
+        return nk.add_rowvec(nk.matmul(pooled, p[f"{self.prefix}.proj.w"]),
+                             p[f"{self.prefix}.proj.b"])
 
 
 @dataclass

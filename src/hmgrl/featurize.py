@@ -1,8 +1,9 @@
 """Drug attribute ingestion and pair-level feature primitives.
 
 Covers the drug-table file format, cosine-similarity features over binary
-descriptor sequences, the fixed 64x100 one-hot SMILES encoding, and summed
-per-pair attribute sequences.
+descriptor sequences, the fixed 100-position SMILES character encoding
+(the index form of a 64x100 one-hot matrix), and summed per-pair attribute
+sequences.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ SMILES_VOCAB = (
 )
 SMILES_UNKNOWN = 63
 SMILES_CLASSES = 64
+SMILES_EMPTY = SMILES_CLASSES   # index of a padded position: no class at all
 SMILES_POSITIONS = 100
 
 assert len(SMILES_VOCAB) == SMILES_CLASSES - 1
@@ -95,15 +97,18 @@ def attribute_similarities(table: DrugTable) -> dict[str, np.ndarray]:
 
 
 def encode_smiles(s: str) -> np.ndarray:
-    """64 x 100 one-hot matrix; overflow truncated, shortfall zero-padded.
+    """One uint8 character class per position (100); overflow truncated,
+    shortfall padded with SMILES_EMPTY.
 
-    Characters outside the vocabulary map to the reserved unknown class,
-    never an error.
+    This is the index form of the 64 x 100 one-hot matrix the CNN convolves:
+    each position holds the row of its 1, or SMILES_EMPTY for an all-zero
+    column. Characters outside the vocabulary map to the reserved unknown
+    class, never an error.
     """
-    mat = np.zeros((SMILES_CLASSES, SMILES_POSITIONS))
+    row = np.full(SMILES_POSITIONS, SMILES_EMPTY, dtype=np.uint8)
     for j, ch in enumerate(s[:SMILES_POSITIONS]):
-        mat[_CHAR_INDEX.get(ch, SMILES_UNKNOWN), j] = 1.0
-    return mat
+        row[j] = _CHAR_INDEX.get(ch, SMILES_UNKNOWN)
+    return row
 
 
 def pair_attribute_sequence(a, b) -> np.ndarray:

@@ -15,12 +15,7 @@ import numpy as np
 
 from . import numkit as nk
 from .config import RunConfig
-from .encoders import (
-    CnnBlock,
-    EncoderBlock,
-    assemble_comprehensive,
-    stack_smiles_pair,
-)
+from .encoders import CnnBlock, EncoderBlock, assemble_comprehensive
 from .errors import (
     DataError,
     NumericError,
@@ -118,9 +113,7 @@ class HmgrlModel:
         self.dds = DDSGraph.from_table(table)
         self.initial_features = np.hstack(   # N x 3N
             [self.dds.targets, self.dds.enzymes, self.dds.substructures])
-        # 0/1 bytes: each batch's float64 rows are then made once, by nk.constant
-        self.smiles_onehot = np.stack(
-            [encode_smiles(s) for s in table.smiles]).astype(np.uint8)
+        self.smiles_index = np.stack([encode_smiles(s) for s in table.smiles])  # N x 100
 
         d_in = self.initial_features.shape[1]
         d_embed = config.embed_dim
@@ -224,8 +217,8 @@ class HmgrlModel:
 
     def comprehensive_features(self, embeddings: nk.Tensor, us: np.ndarray,
                                vs: np.ndarray) -> nk.Tensor:
-        h_smi = self.cnn.forward(nk.constant(
-            stack_smiles_pair(self.smiles_onehot[us], self.smiles_onehot[vs])))
+        h_smi = self.cnn.forward(np.hstack([self.smiles_index[us],
+                                            self.smiles_index[vs]]))
         emb_pair = nk.concat_cols([nk.gather_rows(embeddings, us),
                                    nk.gather_rows(embeddings, vs)])
         h_emb = self.enc_embedding.forward(emb_pair)

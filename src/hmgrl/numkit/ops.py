@@ -53,7 +53,8 @@ def sub(a, b) -> Tensor:
 
     def backward(g):
         a.accumulate(g)
-        b.accumulate(-g)
+        if b.requires_grad:
+            b.accumulate(-g)
 
     return make_output(a.data - b.data, (a, b), backward)
 
@@ -65,8 +66,10 @@ def mul(a, b) -> Tensor:
     a_data, b_data = a.data, b.data
 
     def backward(g):
-        a.accumulate(g * b_data)
-        b.accumulate(g * a_data)
+        if a.requires_grad:
+            a.accumulate(g * b_data)
+        if b.requires_grad:
+            b.accumulate(g * a_data)
 
     return make_output(a_data * b_data, (a, b), backward)
 
@@ -90,11 +93,13 @@ def div(a, b) -> Tensor:
     a_data, b_data = a.data, b.data
 
     def backward(g):
-        a.accumulate(g / b_data)
-        gb = -g * a_data / (b_data * b_data)
-        if b.shape == (1, 1):
-            gb = gb.sum().reshape(1, 1)
-        b.accumulate(gb)
+        if a.requires_grad:
+            a.accumulate(g / b_data)
+        if b.requires_grad:
+            gb = -g * a_data / (b_data * b_data)
+            if b.shape == (1, 1):
+                gb = gb.sum().reshape(1, 1)
+            b.accumulate(gb)
 
     return make_output(a_data / b_data, (a, b), backward)
 
@@ -107,7 +112,8 @@ def add_rowvec(a, v) -> Tensor:
 
     def backward(g):
         a.accumulate(g)
-        v.accumulate(g.sum(axis=0, keepdims=True))
+        if v.requires_grad:
+            v.accumulate(g.sum(axis=0, keepdims=True))
 
     return make_output(a.data + v.data, (a, v), backward)
 
@@ -120,8 +126,10 @@ def mul_rowvec(a, v) -> Tensor:
     a_data, v_data = a.data, v.data
 
     def backward(g):
-        a.accumulate(g * v_data)
-        v.accumulate((g * a_data).sum(axis=0, keepdims=True))
+        if a.requires_grad:
+            a.accumulate(g * v_data)
+        if v.requires_grad:
+            v.accumulate((g * a_data).sum(axis=0, keepdims=True))
 
     return make_output(a_data * v_data, (a, v), backward)
 
@@ -245,8 +253,7 @@ def gather_rows(a, index) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            a.accumulate(_scatter_rows(idx, np.arange(idx.size), np.ones(idx.size),
-                                       a.shape[0], g))
+            a.accumulate(_scatter_rows(idx, None, None, a.shape[0], g))
 
     return make_output(a.data[idx], (a,), backward)
 
@@ -275,11 +282,14 @@ def spmm(rows, cols, vals, n_rows: int, a) -> Tensor:
 
 
 def _scatter_rows(target, source, vals, n: int, m: np.ndarray) -> np.ndarray:
-    """n-row matrix whose row target[k] sums vals[k] * m[source[k]] over k."""
+    """n-row matrix whose row target[k] sums vals[k] * m[source[k]] over k;
+    source None means m's rows in order, vals None means weight 1."""
     width = m.shape[1]
     flat = (target[:, None] * width + np.arange(width)).ravel()
-    weighted = (vals[:, None] * m[source]).ravel()
-    return np.bincount(flat, weights=weighted, minlength=n * width).reshape(n, width)
+    rows = m if source is None else m[source]
+    weighted = rows if vals is None else vals[:, None] * rows
+    return np.bincount(flat, weights=weighted.ravel(),
+                       minlength=n * width).reshape(n, width)
 
 
 # ---------------------------------------------------------------- reductions
@@ -410,6 +420,61 @@ def conv1d_bank(x, kernel, bias, channels_in: int, length: int) -> Tensor:
             x.accumulate(dx3.reshape(x.shape))
 
     return make_output(out, (x, kernel, bias), backward)
+
+
+def conv1d_onehot(index, kernel, bias, n_classes: int) -> Tensor:
+    """conv1d_bank over one-hot rows, without building them.
+
+    Row k of `index` holds one class per position, in 0..n_classes-1, or
+    n_classes for an empty (all-zero) position. A one-hot input times a
+    kernel is a gather: with K_j the kernel's offset-j column block
+    (c_out x n_classes), out[k, :, t] = bias + sum_j K_j[:, index[k, t+j]].
+    `kernel` and the output are laid out as in conv1d_bank; the index gets
+    no gradient.
+    """
+    kernel, bias = as_tensor(kernel), as_tensor(bias)
+    idx = np.asarray(index)
+    if idx.ndim != 2 or idx.dtype.kind not in "ui":
+        raise ShapeError(f"conv1d_onehot: need a 2-D integer index, got {idx.dtype} "
+                         f"with shape {idx.shape}")
+    if idx.size and (idx.min() < 0 or idx.max() > n_classes):
+        raise ShapeError(f"conv1d_onehot: an index lies outside 0..{n_classes}")
+    c_out, kw_total = kernel.shape
+    if kw_total % n_classes:
+        raise ShapeError("conv1d_onehot: kernel width not a multiple of n_classes")
+    width = kw_total // n_classes
+    batch, length = idx.shape
+    if width > length:
+        raise ShapeError("conv1d_onehot: kernel wider than input")
+    if bias.shape != (1, c_out):
+        raise ShapeError(f"conv1d_onehot: bias shape {bias.shape} != (1, {c_out})")
+    l_out = length - width + 1
+
+    idx = idx.astype(np.intp)
+    windows = [idx[:, j:j + l_out] for j in range(width)]  # batch x l_out each
+    # table[j] is K_j transposed, plus a zero row that the empty class selects
+    table = np.zeros((width, n_classes + 1, c_out))
+    table[:, :n_classes] = kernel.data.reshape(c_out, n_classes, width).T
+    y3 = np.take(table[0], windows[0], axis=0)              # batch x l_out x c_out
+    for j in range(1, width):
+        y3 += np.take(table[j], windows[j], axis=0)
+    y3 += bias.data
+    out = y3.transpose(0, 2, 1).reshape(batch, c_out * l_out)
+
+    def backward(g):
+        g2 = np.ascontiguousarray(
+            g.reshape(batch, c_out, l_out).transpose(0, 2, 1)).reshape(
+            batch * l_out, c_out)
+        if kernel.requires_grad:
+            dk = np.empty((c_out, n_classes, width))
+            for j in range(width):
+                dk[:, :, j] = _scatter_rows(windows[j].ravel(), None, None,
+                                            n_classes + 1, g2)[:n_classes].T
+            kernel.accumulate(dk.reshape(kernel.shape))
+        if bias.requires_grad:
+            bias.accumulate(g2.sum(axis=0, keepdims=True))
+
+    return make_output(out, (kernel, bias), backward)
 
 
 def global_max_pool(x, channels: int, length: int) -> Tensor:

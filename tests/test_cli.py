@@ -130,21 +130,30 @@ def test_missing_file_exit_code(tmp_path):
     ("pairs", b"SYN0000", "expected 'drug_a<TAB>drug_b'"),
     ("pairs", b"NOPE\tSYN0001", "unknown drug id 'NOPE'"),
     ("pairs", b"\xff\xfe\tSYN0001", "not UTF-8"),
+    ("drugs", None, "Is a directory"),   # None: the path is a directory
+    ("ddis", None, "Is a directory"),
+    ("pairs", None, "Is a directory"),
 ], ids=["drugs-fields", "drugs-bad-index", "drugs-index-past-end",
         "drugs-negative-index", "drugs-not-utf8", "ddis-fields", "ddis-bad-event",
         "ddis-negative-event", "ddis-self", "ddis-unknown-id", "ddis-not-utf8",
-        "pairs-fields", "pairs-unknown-id", "pairs-not-utf8"])
+        "pairs-fields", "pairs-unknown-id", "pairs-not-utf8", "drugs-directory",
+        "ddis-directory", "pairs-directory"])
 def test_malformed_data_line_names_file_and_line(synth_dir, tmp_path, capsys,
                                                  kind, bad_line, message):
     files = {"drugs": (synth_dir / "drugs.tsv").read_bytes(),
              "ddis": (synth_dir / "ddis.tsv").read_bytes(),
              "pairs": b"SYN0000\tSYN0001\nSYN0002\tSYN0003\n"}
-    head = files[kind].split(b"\n", 2)  # the bad line becomes line 3
-    files[kind] = head[0] + b"\n" + head[1] + b"\n" + bad_line + b"\n" + head[2]
     paths = {}
     for name, blob in files.items():
         paths[name] = tmp_path / f"{name}.tsv"
-        paths[name].write_bytes(blob)
+        if name != kind:
+            paths[name].write_bytes(blob)
+        elif bad_line is None:
+            paths[name].mkdir()
+        else:
+            head = blob.split(b"\n", 2)  # the bad line becomes line 3
+            paths[name].write_bytes(head[0] + b"\n" + head[1] + b"\n" + bad_line
+                                    + b"\n" + head[2])
     if kind == "pairs":  # the pairs file is read before the checkpoint
         code = run_cli("predict", "--drugs", paths["drugs"], "--train-ddis",
                        paths["ddis"], "--checkpoint", tmp_path / "absent.ckpt",
@@ -153,7 +162,8 @@ def test_malformed_data_line_names_file_and_line(synth_dir, tmp_path, capsys,
         code = run_cli("split", "--drugs", paths["drugs"], "--ddis", paths["ddis"])
     err = capsys.readouterr().err
     assert code == EXIT_DATA
-    assert f"{paths[kind]}:3: " in err and message in err
+    where = f"{paths[kind]}: " if bad_line is None else f"{paths[kind]}:3: "
+    assert where in err and message in err
 
 
 @pytest.mark.parametrize("text, message", [
@@ -165,19 +175,22 @@ def test_malformed_data_line_names_file_and_line(synth_dir, tmp_path, capsys,
     (b'{"mixup": 1}', "'mixup' must be of type bool"),
     (b'{"cnn_kernels": [3, "5"]}', "'cnn_kernels' must be of type tuple"),
     (b'{"no_such_key": 1}', "unknown config keys"),
+    (None, "No such file or directory"),   # None: the file does not exist
 ], ids=["not-json", "not-object", "not-utf8", "int-field", "float-field",
-        "bool-field", "tuple-field", "unknown-key"])
+        "bool-field", "tuple-field", "unknown-key", "missing"])
 def test_bad_config_file_is_usage_error_naming_it(synth_dir, tmp_path, capsys,
                                                   text, message):
     cfg = tmp_path / "cfg.json"
-    cfg.write_bytes(text)
+    if text is not None:
+        cfg.write_bytes(text)
     assert run_cli("train", "--config", cfg, "--drugs", synth_dir / "drugs.tsv",
                    "--ddis", synth_dir / "ddis.tsv", "--out", tmp_path / "x") == EXIT_USAGE
     err = capsys.readouterr().err
     assert str(cfg) in err and message in err
     run_config = tmp_path / "run" / "config" / "config.json"  # a run's own echo
     run_config.parent.mkdir(parents=True)
-    run_config.write_bytes(text)
+    if text is not None:
+        run_config.write_bytes(text)
     assert run_cli("eval", "--run", tmp_path / "run") == EXIT_USAGE
     err = capsys.readouterr().err
     assert str(run_config) in err and message in err

@@ -1,13 +1,8 @@
 import numpy as np
 
 from hmgrl import numkit as nk
-from hmgrl.encoders import (
-    CnnBlock,
-    EncoderBlock,
-    assemble_comprehensive,
-    stack_smiles_pair,
-)
-from hmgrl.featurize import encode_smiles
+from hmgrl.encoders import CnnBlock, EncoderBlock, assemble_comprehensive
+from hmgrl.featurize import SMILES_EMPTY, encode_smiles
 from tests.test_numkit import fd_check
 
 
@@ -17,17 +12,22 @@ def small_cnn(rng, out_dim=5, in_channels=6, positions=20):
                           positions=positions)
 
 
+def index_rows(rng, k, in_channels, positions):
+    """Random character rows; the value in_channels marks an empty position."""
+    return rng.integers(0, in_channels + 1, size=(k, positions)).astype(np.uint8)
+
+
 def test_cnn_output_dim_shape_law():
     rng = np.random.default_rng(0)
     block = small_cnn(rng)
-    x = nk.constant(rng.normal(size=(7, 6 * 20)))
+    x = index_rows(rng, 7, 6, 20)
     assert block.forward(x).shape == (7, 5)
 
 
 def test_cnn_zero_input_is_bias_driven_constant():
     rng = np.random.default_rng(1)
     block = small_cnn(rng)
-    out = block.forward(nk.constant(np.zeros((3, 6 * 20)))).data
+    out = block.forward(np.full((3, 20), 6, dtype=np.uint8)).data  # all empty
     # expected: bias constants flow through each stage, then the linear head
     v = np.maximum(block.params["cnn.conv0.b"].data[0], 0.0)
     w1 = block.params["cnn.conv1.w"].data
@@ -42,30 +42,35 @@ def test_cnn_real_smiles_pair_and_pad_permutation():
     block = CnnBlock.build(rng, "cnn", channels=(4, 4), kernel_widths=(3, 3),
                            out_dim=6)
     s_u, s_v = encode_smiles("CCO"), encode_smiles("c1ccccc1")
-    row = stack_smiles_pair(s_u, s_v)
-    out = block.forward(nk.constant(row[None, :])).data
-    # permuting all-zero pad columns among themselves changes nothing
+    row = np.hstack([s_u, s_v])
+    out = block.forward(row[None, :]).data
+    # permuting empty pad positions among themselves changes nothing
     s_u2 = s_u.copy()
-    s_u2[:, [50, 80]] = s_u2[:, [80, 50]]  # both all-zero pad columns
-    out2 = block.forward(nk.constant(stack_smiles_pair(s_u2, s_v)[None, :])).data
+    assert s_u2[50] == s_u2[80] == SMILES_EMPTY
+    s_u2[[50, 80]] = s_u2[[80, 50]]
+    out2 = block.forward(np.hstack([s_u2, s_v])[None, :]).data
     assert np.array_equal(out, out2)
     # a stacked batch gives each pair's row, in order
-    onehot = np.stack([encode_smiles(s) for s in ("CCO", "c1ccccc1", "N#N", "")])
+    index = np.stack([encode_smiles(s) for s in ("CCO", "c1ccccc1", "N#N", "")])
     us, vs = np.array([0, 1, 3, 2]), np.array([1, 0, 2, 3])
-    batch = stack_smiles_pair(onehot[us], onehot[vs])
-    assert np.array_equal(batch, np.stack([stack_smiles_pair(onehot[u], onehot[v])
-                                           for u, v in zip(us, vs)]))
+    batch = block.forward(np.hstack([index[us], index[vs]])).data
+    singles = np.vstack([block.forward(np.hstack([index[u], index[v]])[None, :]).data
+                         for u, v in zip(us, vs)])
+    assert np.allclose(batch, singles, atol=1e-12)
 
 
 def test_cnn_gradients():
     rng = np.random.default_rng(3)
     block = small_cnn(rng, out_dim=3, in_channels=2, positions=12)
-    x = rng.normal(size=(2, 2 * 12))
+    x = index_rows(rng, 2, 2, 12)
     w = rng.normal(size=(2, 3))
     params = list(block.params.values())
+    for name, p in block.params.items():  # an all-empty window sits exactly on
+        if name.endswith(".b"):           # relu's kink while the biases are 0
+            p.data = rng.normal(scale=0.1, size=p.shape)
 
     def loss():
-        return nk.sum_all(nk.mul(block.forward(nk.constant(x)), nk.constant(w)))
+        return nk.sum_all(nk.mul(block.forward(x), nk.constant(w)))
 
     fd_check(loss, params)
 

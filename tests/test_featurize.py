@@ -5,6 +5,7 @@ from hmgrl.config import apply_preset
 from hmgrl.errors import DataError, UnknownDrugError, ValidationError
 from hmgrl.featurize import (
     SMILES_CLASSES,
+    SMILES_EMPTY,
     SMILES_POSITIONS,
     SMILES_UNKNOWN,
     SMILES_VOCAB,
@@ -95,24 +96,24 @@ def test_initial_features_shape_and_content():
 
 
 def test_encode_smiles_basic():
-    mat = encode_smiles("CCO")
-    assert mat.shape == (SMILES_CLASSES, SMILES_POSITIONS)
+    row = encode_smiles("CCO")
+    assert row.shape == (SMILES_POSITIONS,) and row.dtype == np.uint8
     c_idx, o_idx = SMILES_VOCAB.index("C"), SMILES_VOCAB.index("O")
-    assert mat[c_idx, 0] == 1.0 and mat[c_idx, 1] == 1.0 and mat[o_idx, 2] == 1.0
-    assert mat[:, 3:].sum() == 0.0
-    assert (mat.sum(axis=0) <= 1.0).all()
+    assert row[0] == c_idx and row[1] == c_idx and row[2] == o_idx
+    assert (row[3:] == SMILES_EMPTY).all()
+    assert (row <= SMILES_EMPTY).all() and SMILES_EMPTY == SMILES_CLASSES
 
 
 def test_encode_smiles_truncates_long_strings():
-    mat = encode_smiles("C" * 150)
-    assert mat.sum() == 100.0
-    assert (mat.sum(axis=0) == 1.0).all()
+    row = encode_smiles("C" * 150)
+    assert row.shape == (100,)
+    assert (row == SMILES_VOCAB.index("C")).all()
 
 
 def test_encode_smiles_empty_and_unknown():
-    assert encode_smiles("").sum() == 0.0
-    mat = encode_smiles("C?C")
-    assert mat[SMILES_UNKNOWN, 1] == 1.0
+    assert (encode_smiles("") == SMILES_EMPTY).all()
+    row = encode_smiles("C?C")
+    assert row[1] == SMILES_UNKNOWN
 
 
 def test_encode_smiles_deterministic():
@@ -121,8 +122,8 @@ def test_encode_smiles_deterministic():
 
 def test_encode_smiles_injective_up_to_truncation():
     strings = ["CCO", "CCN", "CC", "OCC", "C(=O)O", "c1ccccc1", "C" * 99]
-    mats = [encode_smiles(s).tobytes() for s in strings]
-    assert len(set(mats)) == len(strings)
+    rows = [encode_smiles(s).tobytes() for s in strings]
+    assert len(set(rows)) == len(strings)
     # beyond the window, differences are invisible by design
     assert np.array_equal(encode_smiles("C" * 100), encode_smiles("C" * 100 + "N"))
 

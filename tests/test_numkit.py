@@ -195,6 +195,45 @@ def test_matmul_skips_the_gradient_of_a_constant_operand():
         assert np.array_equal(p.grad, expected)
 
 
+class _CountingOperand(np.ndarray):
+    """Counts the numpy ufunc calls that read this array."""
+
+    reads = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        type(self).reads += 1
+        inputs = tuple(np.asarray(x) if isinstance(x, _CountingOperand) else x
+                       for x in inputs)
+        return getattr(ufunc, method)(*inputs, **kwargs)
+
+
+@pytest.mark.parametrize("op", ["mul", "mul_rowvec", "div"])
+def test_elementwise_ops_skip_the_gradient_of_a_constant_operand(op):
+    # p's own data enters only the gradient of the constant operand, so the
+    # backward pass must never read it
+    rng = np.random.default_rng(16)
+    const = nk.constant(rng.normal(size=(3, 4)) + 3.0)
+    p = nk.parameter(rng.normal(size=(1, 4) if op == "mul_rowvec" else (3, 4)))
+    p.data = p.data.view(_CountingOperand)
+    seed = rng.normal(size=(3, 4))
+    with nk.Tape() as tape:
+        if op == "mul":
+            out = nk.mul(const, p)
+        elif op == "mul_rowvec":
+            out = nk.mul_rowvec(const, p)
+        else:
+            out = nk.div(p, const)
+        loss = nk.sum_all(nk.mul(out, nk.constant(seed)))
+    _CountingOperand.reads = 0
+    tape.backward(loss)
+    assert _CountingOperand.reads == 0
+    assert const.grad is None
+    expected = {"mul": seed * const.data,
+                "mul_rowvec": (seed * const.data).sum(axis=0, keepdims=True),
+                "div": seed / const.data}[op]
+    assert np.array_equal(p.grad, expected)
+
+
 def test_div_frobenius_layernorm_gradients():
     rng = np.random.default_rng(11)
     x = nk.parameter(rng.normal(size=(4, 3)) + 2.0)
@@ -266,6 +305,65 @@ def test_conv_and_pool_gradients():
         return nk.sum_all(nk.mul(pooled, nk.constant(w)))
 
     fd_check(loss, [x, kernel, bias])
+
+
+def onehot_rows(index, n_classes):
+    """Dense channel-major one-hot rows of an index block; the value
+    n_classes (empty) leaves its position all zero."""
+    batch, length = index.shape
+    dense = np.zeros((batch, n_classes + 1, length))
+    np.put_along_axis(dense, index.astype(np.intp)[:, None, :], 1.0, axis=1)
+    return dense[:, :n_classes].reshape(batch, n_classes * length)
+
+
+def test_conv1d_onehot_matches_conv1d_bank_on_the_expansion():
+    rng = np.random.default_rng(21)
+    n_classes, length, c_out = 64, 9, 3
+    index = np.full((5, length), n_classes, dtype=np.uint8)   # row 0: all empty
+    index[1, [0, length - 1]] = 63                             # unknown class at both ends
+    index[2, 0] = 7                                            # first position only
+    index[3, length - 1] = 12                                  # last position only
+    index[4] = rng.integers(0, n_classes + 1, size=length)
+    for width in (1, 3, length):
+        kernel = nk.parameter(rng.normal(size=(c_out, n_classes * width)))
+        bias = nk.parameter(rng.normal(size=(1, c_out)))
+        g = rng.normal(size=(5, c_out * (length - width + 1)))
+        routes = []
+        for conv in (lambda: nk.conv1d_onehot(index, kernel, bias, n_classes),
+                     lambda: nk.conv1d_bank(nk.constant(onehot_rows(index, n_classes)),
+                                            kernel, bias, n_classes, length)):
+            kernel.zero_grad()
+            bias.zero_grad()
+            with nk.Tape() as tape:
+                out = conv()
+                loss = nk.sum_all(nk.mul(out, nk.constant(g)))
+            tape.backward(loss)
+            routes.append((out.data, kernel.grad, bias.grad))
+        for got, want in zip(*routes):
+            assert np.abs(got - want).max() <= 1e-12
+        # an all-empty row is the bias at every position
+        assert np.array_equal(routes[0][0][0], np.repeat(bias.data[0], length - width + 1))
+    with pytest.raises(ShapeError):
+        nk.conv1d_onehot(index + 1, kernel, bias, n_classes)   # 65 is past empty
+    with pytest.raises(ShapeError):
+        nk.conv1d_onehot(index.astype(np.float64), kernel, bias, n_classes)
+    with pytest.raises(ShapeError):
+        nk.conv1d_onehot(index[:, :-1], kernel, bias, n_classes)  # kernel too wide
+
+
+def test_conv1d_onehot_gradients():
+    rng = np.random.default_rng(22)
+    n_classes, length, c_out, width = 5, 10, 3, 4
+    index = rng.integers(0, n_classes + 1, size=(3, length)).astype(np.uint8)
+    kernel = nk.parameter(rng.normal(size=(c_out, n_classes * width)))
+    bias = nk.parameter(rng.normal(size=(1, c_out)))
+    w = rng.normal(size=(3, c_out * (length - width + 1)))
+
+    def loss():
+        y = nk.conv1d_onehot(index, kernel, bias, n_classes)
+        return nk.sum_all(nk.mul(y, nk.constant(w)))
+
+    fd_check(loss, [kernel, bias], rel_tol=1e-6)
 
 
 def test_backward_reverse_order_and_reuse():
