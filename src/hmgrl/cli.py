@@ -84,8 +84,7 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
                         help="comma-separated fold indices to train")
     defaults = RunConfig()
     for field in dataclasses.fields(RunConfig):
-        if field.name in ("n_folds", "folds", "drug_table", "ddi_file",
-                          "out_dir", "preset"):
+        if field.name in ("n_folds", "folds", "drug_table", "ddi_file", "preset"):
             continue
         default = getattr(defaults, field.name)
         flag = "--" + field.name.replace("_", "-")

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
 
 from .errors import ParameterError
@@ -28,7 +29,6 @@ class RunConfig:
     n_folds: int = 5
     folds: tuple = ()            # empty = all folds
     seed: int = 0
-    out_dir: str = ""
     preset: str = ""
 
     # published hyperparameters
@@ -73,16 +73,28 @@ class RunConfig:
         self.cnn_kernels = tuple(self.cnn_kernels)
         if self.batch_size < 2:
             raise ParameterError("batch_size must be >= 2")
-        if self.learning_rate <= 0:
-            raise ParameterError("learning_rate must be > 0")
+        for name in _COUNT_FIELDS:
+            if getattr(self, name) < 1:
+                raise ParameterError(f"{name} must be >= 1, got {getattr(self, name)!r}")
+        for name in ("propagation_hops", "dsc_proj_dim"):
+            if getattr(self, name) < 0:
+                raise ParameterError(f"{name} must be >= 0, got {getattr(self, name)!r}")
+        for name in ("learning_rate", "mixup_alpha", "adam_eps"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ParameterError(f"{name} must be finite and > 0, got {value!r}")
+        if not (math.isfinite(self.regularizer_weight) and self.regularizer_weight >= 0):
+            raise ParameterError(f"regularizer_weight must be finite and >= 0, "
+                                 f"got {self.regularizer_weight!r}")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ParameterError("dropout_rate must be in [0, 1)")
-        if self.propagation_hops < 0:
-            raise ParameterError("propagation_hops must be >= 0")
-        if self.dsc_heads < 1:
-            raise ParameterError("dsc_heads must be >= 1")
-        if len(self.cnn_channels) != len(self.cnn_kernels):
-            raise ParameterError("cnn_channels and cnn_kernels must pair up")
+        if not self.cnn_channels or len(self.cnn_channels) != len(self.cnn_kernels):
+            raise ParameterError("cnn_channels and cnn_kernels must pair up, "
+                                 "one entry per stage and at least one stage")
+        for name in ("cnn_channels", "cnn_kernels"):
+            if min(getattr(self, name)) < 1:
+                raise ParameterError(f"every {name} entry must be >= 1, "
+                                     f"got {getattr(self, name)!r}")
 
     @property
     def effective_dsc_proj_dim(self) -> int:
@@ -108,6 +120,12 @@ class RunConfig:
 
     def replace(self, **kwargs) -> "RunConfig":
         return dataclasses.replace(self, **kwargs)
+
+
+# dimension and count fields, each at least 1 (batch_size has its own floor)
+_COUNT_FIELDS = ("epochs", "embed_dim", "attention_dim", "embedding_encoder_dim",
+                 "dsc_heads", "dsc_clusters", "rgcn_depth", "token_count",
+                 "token_dim", "attn_heads", "decoder_hidden")
 
 
 def _fits(value, default) -> bool:

@@ -88,7 +88,7 @@ class TrainRecord:
 @dataclass
 class ForwardResult:
     probabilities: nk.Tensor
-    regularizer: nk.Tensor
+    regularizer: nk.Tensor | None   # None (and no diagnostics) without labels
     view_diagnostics: dict
     loss_ce: nk.Tensor | None = None
     loss_total: nk.Tensor | None = None
@@ -275,7 +275,9 @@ class HmgrlModel:
             features, labels_used, seq_sources = mixup_batch(
                 features, labels, seq_sources, mixup_rng, self.config.mixup_alpha)
 
-        clustered = mvdsc_forward(features, seq_sources, self.views)
+        # without labels no loss is formed, so the views skip their regularizers
+        clustered = mvdsc_forward(features, seq_sources, self.views,
+                                  regularize=labels_used is not None)
         probs = self.decode(clustered.representation, training, dropout_rng)
 
         result = ForwardResult(probabilities=probs,

@@ -42,25 +42,22 @@ class DscView:
         return cls(prefix, kind, n_heads, n_clusters, params)
 
 
-def build_dsc_adjacency(source, head_weights) -> list[nk.Tensor]:
-    """Per head: project the source, form the Gram matrix, row-softmax.
+def dsc_adjacency(source, weight) -> nk.Tensor:
+    """One head: project the source, form the Gram matrix, row-softmax.
 
-    Rows sum to 1, so the degree matrix of each result is the identity.
+    Rows sum to 1, so the degree matrix of the result is the identity.
     """
     source = nk.as_tensor(source)
     if source.shape[0] < 2:
         raise BatchSizeError(f"need at least 2 pairs, got {source.shape[0]}")
-    out = []
-    for w in head_weights:
-        projected = nk.matmul(source, w)
-        gram = nk.matmul(projected, nk.transpose(projected))
-        out.append(nk.softmax_rows(gram))
-    return out
+    projected = nk.matmul(source, weight)
+    return nk.softmax_rows(nk.matmul(projected, nk.transpose(projected)))
 
 
 def graph_cut_assign(adjacency, features, weight) -> nk.Tensor:
-    """relu(A @ features @ W): nonnegative soft cluster assignments."""
-    return nk.relu(nk.matmul(nk.matmul(adjacency, features), weight))
+    """relu(A @ (features @ W)): nonnegative soft cluster assignments.
+    Projecting first makes the K x K product cost K^2 C flops, not K^2 d."""
+    return nk.relu(nk.matmul(adjacency, nk.matmul(features, weight)))
 
 
 def dsc_output(assignments, features, mix_weight) -> nk.Tensor:
@@ -122,27 +119,34 @@ def loss_orthogonality(assignments):
 @dataclass
 class MvdscResult:
     representation: nk.Tensor       # K x (4 * feature width)
-    regularizer: nk.Tensor          # 1x1, mean of per-view gc + or losses
+    regularizer: nk.Tensor | None   # 1x1, mean of per-view gc + or losses
     diagnostics: dict = field(default_factory=dict)  # per view: losses, skips
 
 
-def view_forward(view: DscView, source, features):
-    """One view end to end: adjacencies, assignments, mixed output."""
-    adj_weights = [view.params[f"{view.prefix}.adj{m}"] for m in range(view.n_heads)]
-    assign_weights = [view.params[f"{view.prefix}.assign{m}"] for m in range(view.n_heads)]
-    adjacencies = build_dsc_adjacency(source, adj_weights)
-    assignments = [graph_cut_assign(a, features, w)
-                   for a, w in zip(adjacencies, assign_weights)]
+def view_forward(view: DscView, source, features, keep_adjacencies: bool):
+    """One view end to end, one head at a time: adjacency, then assignment.
+    A head's K x K adjacency outlives its assignment only if kept for the
+    graph-cut loss; otherwise the returned adjacency list is empty."""
+    assignments, adjacencies = [], []
+    for m in range(view.n_heads):
+        a = dsc_adjacency(source, view.params[f"{view.prefix}.adj{m}"])
+        assignments.append(graph_cut_assign(a, features,
+                                            view.params[f"{view.prefix}.assign{m}"]))
+        if keep_adjacencies:
+            adjacencies.append(a)
     output = dsc_output(assignments, features, view.params[f"{view.prefix}.mix"])
     return output, assignments, adjacencies
 
 
-def mvdsc_forward(features, sequence_sources: dict, views: dict) -> MvdscResult:
+def mvdsc_forward(features, sequence_sources: dict, views: dict,
+                  regularize: bool = True) -> MvdscResult:
     """Run the four views and merge them in fixed order.
 
     features: K x d tensor (comprehensive pair features); sequence_sources
     maps 'targets'/'enzymes'/'substructures' to constant K x * matrices.
-    The comprehensive view sources from `features` itself.
+    The comprehensive view sources from `features` itself. With
+    `regularize` false no loss is formed, so the result carries no
+    regularizer and no diagnostics.
     """
     outputs = []
     diagnostics = {}
@@ -151,10 +155,13 @@ def mvdsc_forward(features, sequence_sources: dict, views: dict) -> MvdscResult:
         view = views[kind]
         source = features if kind == "comprehensive" else nk.constant(
             sequence_sources[kind])
-        output, assignments, adjacencies = view_forward(view, source, features)
+        output, assignments, adjacencies = view_forward(view, source, features,
+                                                        keep_adjacencies=regularize)
+        outputs.append(output)
+        if not regularize:
+            continue
         l_gc, gc_skipped = loss_graph_cut(assignments, adjacencies)
         l_or, or_skipped = loss_orthogonality(assignments)
-        outputs.append(output)
         reg_view = nk.add(l_gc, l_or)
         reg_total = reg_view if reg_total is None else nk.add(reg_total, reg_view)
         diagnostics[kind] = {
@@ -164,6 +171,7 @@ def mvdsc_forward(features, sequence_sources: dict, views: dict) -> MvdscResult:
         }
     return MvdscResult(
         representation=nk.concat_cols(outputs),
-        regularizer=nk.scale(reg_total, 1.0 / len(VIEW_ORDER)),
+        regularizer=(nk.scale(reg_total, 1.0 / len(VIEW_ORDER))
+                     if regularize else None),
         diagnostics=diagnostics,
     )

@@ -147,15 +147,18 @@ def relu(a) -> Tensor:
 
 
 def softmax_rows(a) -> Tensor:
-    """Row-wise softmax with max-subtraction for stability."""
+    """Row-wise softmax with max-subtraction for stability, in one buffer
+    (exp and divide in place keep the op order, so the bits are unchanged)."""
     a = as_tensor(a)
-    shifted = a.data - a.data.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=1, keepdims=True)
+    y = a.data - a.data.max(axis=1, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(axis=1, keepdims=True)
 
     def backward(g):
         dot = (g * y).sum(axis=1, keepdims=True)
-        a.accumulate(y * (g - dot))
+        dx = g - dot
+        dx *= y
+        a.accumulate(dx)
 
     return make_output(y, (a,), backward)
 

@@ -8,6 +8,7 @@ classes, which makes the task learnable end to end.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +37,11 @@ class SynthSpec:
             raise ParameterError("need at least 4 drugs")
         if self.n_events < 2:
             raise ParameterError("need at least 2 event types")
+        for name in ("targets_size", "enzymes_size", "substructures_size"):
+            if getattr(self, name) < 1:
+                raise ParameterError(f"{name} must be >= 1, got {getattr(self, name)!r}")
+        if not math.isfinite(self.density):
+            raise ParameterError(f"density must be finite, got {self.density!r}")
         max_pairs = self.n_drugs * (self.n_drugs - 1) // 2
         self.n_pairs = round(self.density * max_pairs)
         if not 0 < self.n_pairs <= max_pairs:

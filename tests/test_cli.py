@@ -36,6 +36,18 @@ def test_synth_infeasible_density(tmp_path):
     assert run_cli("synth", "--out", tmp_path / "x", "--density", 2.0) == EXIT_USAGE
 
 
+@pytest.mark.parametrize("flags, field", [
+    (["--targets", 0], "targets_size"),
+    (["--enzymes", -1], "enzymes_size"),
+    (["--substructures", 0], "substructures_size"),
+    (["--density", "nan"], "density"),
+], ids=["targets-zero", "enzymes-negative", "substructures-zero", "density-nan"])
+def test_synth_bad_spec_is_usage_error_naming_field(tmp_path, capsys, flags, field):
+    assert run_cli("synth", "--out", tmp_path / "x", *flags) == EXIT_USAGE
+    assert field in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 def test_split_task_laws(synth_dir, tmp_path):
     out = tmp_path / "plan.json"
     assert run_cli("split", "--drugs", synth_dir / "drugs.tsv",
@@ -194,6 +206,58 @@ def test_bad_config_file_is_usage_error_naming_it(synth_dir, tmp_path, capsys,
     assert run_cli("eval", "--run", tmp_path / "run") == EXIT_USAGE
     err = capsys.readouterr().err
     assert str(run_config) in err and message in err
+
+
+# (flags or config-file entries, the field the error must name)
+OUT_OF_DOMAIN = [
+    (["--epochs", 0], "epochs"),
+    (["--embed-dim", 0], "embed_dim"),
+    (["--attention-dim", 0], "attention_dim"),
+    (["--embedding-encoder-dim", 0], "embedding_encoder_dim"),
+    (["--dsc-heads", 0], "dsc_heads"),
+    (["--dsc-clusters", 0], "dsc_clusters"),
+    (["--rgcn-depth", 0], "rgcn_depth"),
+    (["--token-count", 0], "token_count"),
+    (["--token-dim", 0], "token_dim"),
+    (["--attn-heads", 0], "attn_heads"),
+    (["--decoder-hidden", 0], "decoder_hidden"),
+    (["--dsc-proj-dim", -1], "dsc_proj_dim"),
+    (["--propagation-hops", -1], "propagation_hops"),
+    (["--learning-rate", "nan"], "learning_rate"),
+    (["--learning-rate", "inf"], "learning_rate"),
+    (["--learning-rate", 0], "learning_rate"),
+    (["--regularizer-weight", "nan"], "regularizer_weight"),
+    (["--regularizer-weight", -0.5], "regularizer_weight"),
+    (["--mixup", "--mixup-alpha", 0], "mixup_alpha"),
+    (["--adam-eps", 0], "adam_eps"),
+    ({"cnn_channels": [4, 0, 6]}, "cnn_channels"),
+    ({"cnn_kernels": [3, 5, -7]}, "cnn_kernels"),
+    ({"cnn_channels": [], "cnn_kernels": []}, "cnn_channels"),
+]
+
+
+def _domain_row_id(flags) -> str:
+    if isinstance(flags, dict):
+        return "file-" + "-".join(f"{k}={v}" for k, v in flags.items())
+    return "-".join(str(f).removeprefix("--") for f in flags)
+
+
+@pytest.mark.parametrize("flags, field", OUT_OF_DOMAIN,
+                         ids=[_domain_row_id(flags) for flags, _ in OUT_OF_DOMAIN])
+def test_config_value_out_of_domain_is_usage_error_naming_field(
+        synth_dir, tmp_path, capsys, flags, field):
+    if isinstance(flags, dict):   # tuple fields have no flag: use a config file
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(flags))
+        flags = ["--config", cfg]
+    else:
+        flags = ["--preset", "micro", *flags]
+    run_dir = tmp_path / "run"
+    assert run_cli("train", "--drugs", synth_dir / "drugs.tsv",
+                   "--ddis", synth_dir / "ddis.tsv", "--out", run_dir,
+                   *flags) == EXIT_USAGE
+    assert field in capsys.readouterr().err
+    assert not run_dir.exists()  # rejected before any work
 
 
 def test_unknown_preset_is_usage_error(synth_dir, capsys):

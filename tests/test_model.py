@@ -150,6 +150,34 @@ def test_inference_deterministic_under_dropout_config():
     assert np.array_equal(p1, p2)
 
 
+def test_unlabelled_forward_skips_regularizers(monkeypatch):
+    import hmgrl.mvdsc as mvdsc
+
+    calls = []
+    for name in ("loss_graph_cut", "loss_orthogonality"):
+        original = getattr(mvdsc, name)
+
+        def spy(*args, _original=original, _name=name):
+            calls.append(_name)
+            return _original(*args)
+
+        monkeypatch.setattr(mvdsc, name, spy)
+    data = micro_dataset()
+    model = HmgrlModel(micro_config(), data.table, data.n_relations, seed=3)
+    graph = RelGraph.from_triples(data.n_drugs, data.n_relations, data.triples)
+    pairs = [(u, v) for u, v, _ in data.triples[:6]]
+    with nk.no_grad():
+        bare = model.forward(graph, pairs)
+    assert calls == []
+    assert bare.regularizer is None and bare.view_diagnostics == {}
+    labels = one_hot([r for _, _, r in data.triples[:6]], data.n_relations)
+    with nk.no_grad():
+        scored = model.forward(graph, pairs, labels=labels, training=False)
+    assert len(calls) == 8   # each loss once per view
+    assert np.isfinite(scored.loss_total.item())
+    assert np.array_equal(bare.probabilities.data, scored.probabilities.data)
+
+
 def test_train_record_total_is_affine_combination():
     data = micro_dataset()
     cfg = micro_config(epochs=2, batch_size=8)

@@ -6,7 +6,7 @@ from hmgrl.errors import BatchSizeError
 from hmgrl.mvdsc import (
     VIEW_ORDER,
     DscView,
-    build_dsc_adjacency,
+    dsc_adjacency,
     dsc_output,
     graph_cut_assign,
     loss_graph_cut,
@@ -20,7 +20,8 @@ def test_adjacency_rows_sum_to_one():
     rng = np.random.default_rng(0)
     source = nk.constant(rng.normal(size=(5, 4)))
     heads = [nk.constant(rng.normal(size=(4, 3))) for _ in range(2)]
-    for a in build_dsc_adjacency(source, heads):
+    for w in heads:
+        a = dsc_adjacency(source, w)
         assert np.abs(a.data.sum(axis=1) - 1.0).max() <= 1e-12
         assert a.data.min() >= 0.0
 
@@ -29,14 +30,14 @@ def test_adjacency_identical_rows_match():
     rng = np.random.default_rng(1)
     src = rng.normal(size=(4, 3))
     src[2] = src[0]  # two identical pairs
-    a = build_dsc_adjacency(nk.constant(src), [nk.constant(rng.normal(size=(3, 2)))])[0]
+    a = dsc_adjacency(nk.constant(src), nk.constant(rng.normal(size=(3, 2))))
     assert np.allclose(a.data[0], a.data[2], atol=1e-12)
 
 
 def test_adjacency_matches_direct_evaluation():
     t = np.array([[1.0, 0.0, 2.0], [0.0, 1.0, 1.0], [1.0, 1.0, 0.0]])
     w = np.array([[0.5, -1.0], [1.0, 0.25], [-0.5, 0.75]])
-    a = build_dsc_adjacency(nk.constant(t), [nk.constant(w)])[0]
+    a = dsc_adjacency(nk.constant(t), nk.constant(w))
     proj = t @ w
     gram = proj @ proj.T
     e = np.exp(gram - gram.max(axis=1, keepdims=True))
@@ -45,7 +46,7 @@ def test_adjacency_matches_direct_evaluation():
 
 def test_adjacency_batch_size_error():
     with pytest.raises(BatchSizeError):
-        build_dsc_adjacency(nk.constant(np.ones((1, 3))), [nk.constant(np.ones((3, 2)))])
+        dsc_adjacency(nk.constant(np.ones((1, 3))), nk.constant(np.ones((3, 2))))
 
 
 def test_graph_cut_assign_zero_weight_and_nonnegative():
@@ -67,6 +68,19 @@ def test_graph_cut_assign_near_identity_adjacency():
     w = rng.normal(size=(4, 2))
     out = graph_cut_assign(nk.constant(a_near), nk.constant(h), nk.constant(w))
     assert np.allclose(out.data, np.maximum(h @ w, 0.0), atol=1e-6)
+
+
+def test_graph_cut_assign_matches_unassociated_product():
+    rng = np.random.default_rng(13)
+    for k, d, c in [(2, 3, 1), (2, 7, 4), (5, 4, 2), (17, 9, 3), (40, 12, 6)]:
+        logits = rng.normal(size=(k, k))
+        a = np.exp(logits - logits.max(axis=1, keepdims=True))
+        a /= a.sum(axis=1, keepdims=True)
+        h = rng.normal(size=(k, d))
+        w = rng.normal(size=(d, c))
+        out = graph_cut_assign(nk.constant(a), nk.constant(h), nk.constant(w)).data
+        ref = np.maximum((a @ h) @ w, 0.0)
+        assert np.abs(out - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def test_dsc_output_residual_identity_and_shape():
@@ -203,9 +217,9 @@ def test_graph_cut_upper_bound_on_model_construction():
         d_src, d_feat = int(rng.integers(2, 6)), int(rng.integers(2, 6))
         source = nk.constant(rng.normal(scale=rng.uniform(0.3, 3.0), size=(k, d_src)))
         h = nk.constant(rng.normal(size=(k, d_feat)))
-        adj = build_dsc_adjacency(source, [nk.constant(rng.normal(size=(d_src, 3)))])
-        f = graph_cut_assign(adj[0], h, nk.constant(rng.normal(size=(d_feat, c))))
-        loss, skipped = loss_graph_cut([f], adj)
+        adj = dsc_adjacency(source, nk.constant(rng.normal(size=(d_src, 3))))
+        f = graph_cut_assign(adj, h, nk.constant(rng.normal(size=(d_feat, c))))
+        loss, skipped = loss_graph_cut([f], [adj])
         assert np.isfinite(loss.item())
         assert loss.item() <= 1e-9
 

@@ -65,9 +65,15 @@ def test_softmax_closed_form():
 
 def test_softmax_rows_sum_to_one():
     rng = np.random.default_rng(0)
-    out = nk.softmax_rows(nk.constant(rng.normal(scale=30, size=(20, 7))))
+    x = rng.normal(scale=30, size=(20, 7))
+    before = x.copy()
+    out = nk.softmax_rows(nk.constant(x))
     assert np.abs(out.data.sum(axis=1) - 1.0).max() <= 1e-12
     assert out.data.min() >= 0.0 and out.data.max() <= 1.0
+    # the one-buffer form equals the three-temporary formula to the bit
+    e = np.exp(x - x.max(axis=1, keepdims=True))
+    assert np.array_equal(out.data, e / e.sum(axis=1, keepdims=True))
+    assert np.array_equal(x, before)
 
 
 def test_softmax_gradient():
