@@ -86,8 +86,10 @@ class RunConfig:
         if not (math.isfinite(self.regularizer_weight) and self.regularizer_weight >= 0):
             raise ParameterError(f"regularizer_weight must be finite and >= 0, "
                                  f"got {self.regularizer_weight!r}")
-        if not 0.0 <= self.dropout_rate < 1.0:
-            raise ParameterError("dropout_rate must be in [0, 1)")
+        for name in ("dropout_rate", "adam_beta1", "adam_beta2"):
+            value = getattr(self, name)
+            if not 0.0 <= value < 1.0:     # also rejects nan
+                raise ParameterError(f"{name} must be in [0, 1), got {value!r}")
         if not self.cnn_channels or len(self.cnn_channels) != len(self.cnn_kernels):
             raise ParameterError("cnn_channels and cnn_kernels must pair up, "
                                  "one entry per stage and at least one stage")

@@ -20,7 +20,8 @@ from .featurize import SMILES_CLASSES, SMILES_POSITIONS
 
 @dataclass
 class CnnBlock:
-    """Three valid 1-D convolution stages, global max pool, linear head."""
+    """Three valid 1-D convolution stages (shifted GEMMs over position-major
+    activations; kernels as checkpoints store them), global max pool, linear head."""
 
     prefix: str
     channels: tuple      # e.g. (32, 64, 96)

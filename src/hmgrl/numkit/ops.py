@@ -8,7 +8,6 @@ finite inputs never produce NaN/Inf.
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from ..errors import ParameterError, ShapeError
 from .tensor import Tensor, as_tensor, make_output
@@ -379,48 +378,71 @@ def layer_norm_rows(a, eps: float = 1e-6) -> Tensor:
 
 # --------------------------------------------------------- convolution stack
 
+def _conv_shapes(op: str, kernel: Tensor, bias: Tensor, channels_in: int, length: int):
+    """(c_out, width) of a valid convolution, checked."""
+    c_out, kw_total = kernel.shape
+    width, rest = divmod(kw_total, channels_in)
+    if rest or not 1 <= width <= length:
+        raise ShapeError(f"{op}: {kw_total} kernel columns are not {channels_in} channels "
+                         f"times a width in 1..{length}")
+    if bias.shape != (1, c_out):
+        raise ShapeError(f"{op}: bias shape {bias.shape} != (1, {c_out})")
+    return c_out, width
+
+
+def _shifted_sum(term, bias: Tensor, batch: int, length: int, width: int) -> np.ndarray:
+    """bias + sum over offsets j of term(j, out), the offset-j term of flat
+    rows j.. written to `out`, added at rows 0..; rows past an item's first
+    length - width + 1 positions read across into the next item: dropped."""
+    n, c_out, l_out = batch * length, bias.shape[1], length - width + 1
+    y, buf = np.empty((n, c_out)), np.empty((n, c_out))
+    term(0, y)
+    for j in range(1, width):
+        y[:-j] += term(j, buf[:-j])
+    y3 = y.reshape(batch, length, c_out)[:, :l_out] + bias.data
+    return y3.reshape(batch, l_out * c_out)
+
+
+def _kernel_bias_grads(g, kernel: Tensor, bias: Tensor, batch: int, length: int,
+                       width: int, offset_grad) -> np.ndarray:
+    """Accumulate kernel and bias gradients of a _shifted_sum output g, dK_j
+    as offset_grad(j, flat g rows 0..); return flat g, zero at dropped rows."""
+    n, c_out, l_out = batch * length, bias.shape[1], length - width + 1
+    g_flat = np.pad(g.reshape(batch, l_out, c_out),
+                    ((0, 0), (0, width - 1), (0, 0))).reshape(n, c_out)
+    dk = np.stack([offset_grad(j, g_flat[:n - j]) for j in range(width)], axis=2)
+    kernel.accumulate(dk.reshape(kernel.shape))
+    bias.accumulate(g.reshape(-1, c_out).sum(axis=0, keepdims=True))
+    return g_flat
+
+
 def conv1d_bank(x, kernel, bias, channels_in: int, length: int) -> Tensor:
     """Valid 1-D convolution over the position axis, batched over rows.
 
-    Row k of `x` is one item laid out channel-major: channels_in blocks of
-    `length` positions. `kernel` is c_out x (channels_in * width); output rows
-    are c_out blocks of (length - width + 1) positions.
+    Rows are position-major: `length` blocks of channels_in values in, so
+    x_flat is a free (K*length) x channels_in view, and (length - width + 1)
+    blocks of c_out values out. Kernel column c*width + j holds channel c at
+    offset j; with K_j = kernel[:, j::width] the output is sum_j
+    x_flat[j:] @ K_j^T shifted up j rows: `width` GEMMs, no window matrix.
     """
     x, kernel, bias = as_tensor(x), as_tensor(kernel), as_tensor(bias)
     if x.shape[1] != channels_in * length:
         raise ShapeError(f"conv1d_bank: row width {x.shape[1]} != {channels_in}*{length}")
-    c_out, kw_total = kernel.shape
-    if kw_total % channels_in:
-        raise ShapeError("conv1d_bank: kernel width not a multiple of channels_in")
-    width = kw_total // channels_in
-    if width > length:
-        raise ShapeError("conv1d_bank: kernel wider than input")
-    if bias.shape != (1, c_out):
-        raise ShapeError(f"conv1d_bank: bias shape {bias.shape} != (1, {c_out})")
+    _, width = _conv_shapes("conv1d_bank", kernel, bias, channels_in, length)
     batch = x.shape[0]
-    l_out = length - width + 1
-
-    x3 = x.data.reshape(batch, channels_in, length)
-    # windows flattened to (batch*l_out) x (channels_in*width): every heavy
-    # step below is then a single BLAS matmul
-    win = sliding_window_view(x3, width, axis=2)         # b x c_in x l_out x w
-    cols = win.transpose(0, 2, 1, 3).reshape(batch * l_out, channels_in * width)
-    y2 = cols @ kernel.data.T + bias.data                # (b*l_out) x c_out
-    out = y2.reshape(batch, l_out, c_out).transpose(0, 2, 1).reshape(
-        batch, c_out * l_out)
+    x_flat = x.data.reshape(batch * length, channels_in)
+    taps = [np.ascontiguousarray(kernel.data[:, j::width]) for j in range(width)]  # BLAS-ready
+    out = _shifted_sum(lambda j, buf: np.matmul(x_flat[j:], taps[j].T, out=buf),
+                       bias, batch, length, width)
 
     def backward(g):
-        g2 = np.ascontiguousarray(
-            g.reshape(batch, c_out, l_out).transpose(0, 2, 1)).reshape(
-            batch * l_out, c_out)
-        kernel.accumulate(g2.T @ cols)
-        bias.accumulate(g2.sum(axis=0, keepdims=True))
+        g_flat = _kernel_bias_grads(g, kernel, bias, batch, length, width,
+                                    lambda j, g_rows: g_rows.T @ x_flat[j:])
         if x.requires_grad:
-            dcols = (g2 @ kernel.data).reshape(batch, l_out, channels_in, width)
-            dx3 = np.zeros_like(x3)
-            for j in range(width):
-                dx3[:, :, j:j + l_out] += dcols[:, :, :, j].transpose(0, 2, 1)
-            x.accumulate(dx3.reshape(x.shape))
+            dx = g_flat @ taps[0]
+            for j in range(1, width):
+                dx[j:] += g_flat[:-j] @ taps[j]
+            x.accumulate(dx.reshape(x.shape))
 
     return make_output(out, (x, kernel, bias), backward)
 
@@ -429,11 +451,8 @@ def conv1d_onehot(index, kernel, bias, n_classes: int) -> Tensor:
     """conv1d_bank over one-hot rows, without building them.
 
     Row k of `index` holds one class per position, in 0..n_classes-1, or
-    n_classes for an empty (all-zero) position. A one-hot input times a
-    kernel is a gather: with K_j the kernel's offset-j column block
-    (c_out x n_classes), out[k, :, t] = bias + sum_j K_j[:, index[k, t+j]].
-    `kernel` and the output are laid out as in conv1d_bank; the index gets
-    no gradient.
+    n_classes for an empty (all-zero) position. One-hot rows times K_j^T are a
+    gather, so each offset term is a take; the index gets no gradient.
     """
     kernel, bias = as_tensor(kernel), as_tensor(bias)
     idx = np.asarray(index)
@@ -442,57 +461,34 @@ def conv1d_onehot(index, kernel, bias, n_classes: int) -> Tensor:
                          f"with shape {idx.shape}")
     if idx.size and (idx.min() < 0 or idx.max() > n_classes):
         raise ShapeError(f"conv1d_onehot: an index lies outside 0..{n_classes}")
-    c_out, kw_total = kernel.shape
-    if kw_total % n_classes:
-        raise ShapeError("conv1d_onehot: kernel width not a multiple of n_classes")
-    width = kw_total // n_classes
     batch, length = idx.shape
-    if width > length:
-        raise ShapeError("conv1d_onehot: kernel wider than input")
-    if bias.shape != (1, c_out):
-        raise ShapeError(f"conv1d_onehot: bias shape {bias.shape} != (1, {c_out})")
-    l_out = length - width + 1
-
-    idx = idx.astype(np.intp)
-    windows = [idx[:, j:j + l_out] for j in range(width)]  # batch x l_out each
-    # table[j] is K_j transposed, plus a zero row that the empty class selects
-    table = np.zeros((width, n_classes + 1, c_out))
+    c_out, width = _conv_shapes("conv1d_onehot", kernel, bias, n_classes, length)
+    flat = idx.ravel().astype(np.intp)
+    table = np.zeros((width, n_classes + 1, c_out))   # K_j^T, then a zero row for empty
     table[:, :n_classes] = kernel.data.reshape(c_out, n_classes, width).T
-    y3 = np.take(table[0], windows[0], axis=0)              # batch x l_out x c_out
-    for j in range(1, width):
-        y3 += np.take(table[j], windows[j], axis=0)
-    y3 += bias.data
-    out = y3.transpose(0, 2, 1).reshape(batch, c_out * l_out)
+    # the index is checked, so "clip" clips nothing; it lets take write in place
+    out = _shifted_sum(lambda j, buf: np.take(table[j], flat[j:], axis=0, out=buf,
+                                              mode="clip"), bias, batch, length, width)
 
     def backward(g):
-        g2 = np.ascontiguousarray(
-            g.reshape(batch, c_out, l_out).transpose(0, 2, 1)).reshape(
-            batch * l_out, c_out)
-        if kernel.requires_grad:
-            dk = np.empty((c_out, n_classes, width))
-            for j in range(width):
-                dk[:, :, j] = _scatter_rows(windows[j].ravel(), None, None,
-                                            n_classes + 1, g2)[:n_classes].T
-            kernel.accumulate(dk.reshape(kernel.shape))
-        if bias.requires_grad:
-            bias.accumulate(g2.sum(axis=0, keepdims=True))
+        _kernel_bias_grads(g, kernel, bias, batch, length, width, lambda j, g_rows:
+                           _scatter_rows(flat[j:], None, None, n_classes + 1,
+                                         g_rows)[:n_classes].T)
 
     return make_output(out, (kernel, bias), backward)
 
 
 def global_max_pool(x, channels: int, length: int) -> Tensor:
-    """Max over positions per channel; rows laid out as in conv1d_bank."""
+    """Max over positions per channel; rows position-major as in conv1d_bank."""
     x = as_tensor(x)
     if x.shape[1] != channels * length:
         raise ShapeError(f"global_max_pool: row width {x.shape[1]} != {channels}*{length}")
-    batch = x.shape[0]
-    x3 = x.data.reshape(batch, channels, length)
-    arg = x3.argmax(axis=2)     # first max wins: deterministic tie-break
+    x3 = x.data.reshape(x.shape[0], length, channels)
 
     def backward(g):
-        if x.requires_grad:
-            buf = np.zeros_like(x3)
-            np.put_along_axis(buf, arg[:, :, None], g[:, :, None], axis=2)
-            x.accumulate(buf.reshape(x.shape))
+        arg = x3.argmax(axis=1)     # first max wins: deterministic tie-break
+        buf = np.zeros_like(x3)
+        np.put_along_axis(buf, arg[:, None, :], g[:, None, :], axis=1)
+        x.accumulate(buf.reshape(x.shape))
 
-    return make_output(x3.max(axis=2), (x,), backward)
+    return make_output(x3.max(axis=1), (x,), backward)

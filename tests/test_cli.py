@@ -230,6 +230,9 @@ OUT_OF_DOMAIN = [
     (["--regularizer-weight", -0.5], "regularizer_weight"),
     (["--mixup", "--mixup-alpha", 0], "mixup_alpha"),
     (["--adam-eps", 0], "adam_eps"),
+    (["--adam-beta1", 1], "adam_beta1"),
+    (["--adam-beta2", 1], "adam_beta2"),
+    (["--adam-beta2", "nan"], "adam_beta2"),
     ({"cnn_channels": [4, 0, 6]}, "cnn_channels"),
     ({"cnn_kernels": [3, 5, -7]}, "cnn_kernels"),
     ({"cnn_channels": [], "cnn_kernels": []}, "cnn_channels"),

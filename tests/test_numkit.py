@@ -280,26 +280,30 @@ def test_block_matmul_groups_do_not_mix():
 
 
 def test_conv1d_bank_matches_direct_convolution():
+    # batch >= 3: an offset term that read across an item boundary would
+    # show up in the middle item's last positions
     rng = np.random.default_rng(17)
-    batch, c_in, length, c_out, width = 2, 3, 10, 4, 3
-    x3 = rng.normal(size=(batch, c_in, length))
-    kernel = rng.normal(size=(c_out, c_in * width))
-    bias = rng.normal(size=(1, c_out))
-    out = nk.conv1d_bank(nk.constant(x3.reshape(batch, -1)),
-                         nk.constant(kernel), nk.constant(bias), c_in, length)
-    l_out = length - width + 1
-    got = out.data.reshape(batch, c_out, l_out)
-    for b in range(batch):
-        for o in range(c_out):
-            kern = kernel[o].reshape(c_in, width)
-            for p in range(l_out):
-                direct = (x3[b, :, p:p + width] * kern).sum() + bias[0, o]
-                assert abs(got[b, o, p] - direct) <= 1e-12
+    batch, c_in, length, c_out = 3, 3, 10, 4
+    x3 = rng.normal(size=(batch, length, c_in))      # position-major items
+    for width in (1, 3, length):
+        kernel = rng.normal(size=(c_out, c_in * width))
+        bias = rng.normal(size=(1, c_out))
+        out = nk.conv1d_bank(nk.constant(x3.reshape(batch, -1)),
+                             nk.constant(kernel), nk.constant(bias), c_in, length)
+        l_out = length - width + 1
+        got = out.data.reshape(batch, l_out, c_out)
+        for b in range(batch):
+            for o in range(c_out):
+                kern = kernel[o].reshape(c_in, width)
+                for p in range(l_out):
+                    direct = (x3[b, p:p + width].T * kern).sum() + bias[0, o]
+                    assert abs(got[b, p, o] - direct) <= 1e-12
 
 
-def test_conv_and_pool_gradients():
+@pytest.mark.parametrize("width", [1, 3, 8])
+def test_conv_and_pool_gradients(width):
     rng = np.random.default_rng(19)
-    batch, c_in, length, c_out, width = 2, 2, 8, 3, 3
+    batch, c_in, length, c_out = 2, 2, 8, 3
     x = nk.parameter(rng.normal(size=(batch, c_in * length)))
     kernel = nk.parameter(rng.normal(size=(c_out, c_in * width)))
     bias = nk.parameter(rng.normal(size=(1, c_out)))
@@ -313,13 +317,28 @@ def test_conv_and_pool_gradients():
     fd_check(loss, [x, kernel, bias])
 
 
+def test_global_max_pool_tie_goes_to_first_position():
+    channels, length = 2, 4
+    x3 = np.array([[[1.0, 5.0], [3.0, 2.0], [3.0, 5.0], [0.0, 5.0]]])  # 1 x length x channels
+    x = nk.parameter(x3.reshape(1, length * channels))
+    with nk.Tape() as tape:
+        pooled = nk.global_max_pool(x, channels, length)
+        loss = nk.sum_all(nk.mul(pooled, nk.constant([[2.0, 7.0]])))
+    tape.backward(loss)
+    assert np.array_equal(pooled.data, [[3.0, 5.0]])
+    want = np.zeros_like(x3)
+    want[0, 1, 0] = 2.0     # channel 0: positions 1 and 2 tie
+    want[0, 0, 1] = 7.0     # channel 1: positions 0, 2 and 3 tie
+    assert np.array_equal(x.grad, want.reshape(1, -1))
+
+
 def onehot_rows(index, n_classes):
-    """Dense channel-major one-hot rows of an index block; the value
+    """Dense position-major one-hot rows of an index block; the value
     n_classes (empty) leaves its position all zero."""
     batch, length = index.shape
-    dense = np.zeros((batch, n_classes + 1, length))
-    np.put_along_axis(dense, index.astype(np.intp)[:, None, :], 1.0, axis=1)
-    return dense[:, :n_classes].reshape(batch, n_classes * length)
+    dense = np.zeros((batch, length, n_classes + 1))
+    np.put_along_axis(dense, index.astype(np.intp)[:, :, None], 1.0, axis=2)
+    return dense[:, :, :n_classes].reshape(batch, length * n_classes)
 
 
 def test_conv1d_onehot_matches_conv1d_bank_on_the_expansion():
@@ -348,7 +367,7 @@ def test_conv1d_onehot_matches_conv1d_bank_on_the_expansion():
         for got, want in zip(*routes):
             assert np.abs(got - want).max() <= 1e-12
         # an all-empty row is the bias at every position
-        assert np.array_equal(routes[0][0][0], np.repeat(bias.data[0], length - width + 1))
+        assert np.array_equal(routes[0][0][0], np.tile(bias.data[0], length - width + 1))
     with pytest.raises(ShapeError):
         nk.conv1d_onehot(index + 1, kernel, bias, n_classes)   # 65 is past empty
     with pytest.raises(ShapeError):
