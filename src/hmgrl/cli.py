@@ -194,13 +194,18 @@ def cmd_eval(args) -> int:
     dataset = DdiDataset.load(cfg.drug_table, cfg.ddi_file)
     plan = make_splits(dataset.triples, dataset.n_drugs, task=cfg.task,
                        n_folds=cfg.n_folds, seed=cfg.seed)
-    reports = []
+    reports, skipped = [], []
     for fold_index in fold_indices:
+        fold = plan.folds[fold_index]
+        if len(fold.test) < 2:  # the clustering views cluster the query batch
+            skipped.append(fold_index)
+            print(f"fold {fold_index}: skipped, {len(fold.test)} test pairs "
+                  f"(scoring needs at least 2)")
+            continue
         ckpt = run_dir / "checkpoint" / f"fold{fold_index}.ckpt"
         if not ckpt.exists():
             raise DataError(f"missing checkpoint for fold {fold_index}", path=ckpt)
         model, _ = load_model(ckpt, dataset.table)
-        fold = plan.folds[fold_index]
         graph = RelGraph.from_triples(dataset.n_drugs, dataset.n_relations,
                                       fold.train)
         pairs = [(u, v) for u, v, _ in fold.test]
@@ -210,7 +215,11 @@ def cmd_eval(args) -> int:
         reports.append(report)
         print(f"fold {fold_index}: " + "  ".join(
             f"{k}={v:.4f}" for k, v in list(report.as_dict().items())[:6]))
+    if not reports:
+        raise DataError(f"no selected fold has the 2 test pairs scoring needs "
+                        f"(skipped folds {skipped})")
     summary = summarize_reports(reports)
+    summary["skipped_folds"] = skipped
     summary["config"] = cfg.as_dict()
     out_path = run_dir / "metrics" / "metrics.json"
     with open(out_path, "w", encoding="utf-8") as fh:

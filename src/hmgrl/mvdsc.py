@@ -42,15 +42,20 @@ class DscView:
         return cls(prefix, kind, n_heads, n_clusters, params)
 
 
+def _project(source, weight) -> nk.Tensor:
+    """source @ W for one head; a clustering view needs at least 2 pairs."""
+    source = nk.as_tensor(source)
+    if source.shape[0] < 2:
+        raise BatchSizeError(f"need at least 2 pairs, got {source.shape[0]}")
+    return nk.matmul(source, weight)
+
+
 def dsc_adjacency(source, weight) -> nk.Tensor:
     """One head: project the source, form the Gram matrix, row-softmax.
 
     Rows sum to 1, so the degree matrix of the result is the identity.
     """
-    source = nk.as_tensor(source)
-    if source.shape[0] < 2:
-        raise BatchSizeError(f"need at least 2 pairs, got {source.shape[0]}")
-    projected = nk.matmul(source, weight)
+    projected = _project(source, weight)
     return nk.softmax_rows(nk.matmul(projected, nk.transpose(projected)))
 
 
@@ -125,15 +130,21 @@ class MvdscResult:
 
 def view_forward(view: DscView, source, features, keep_adjacencies: bool):
     """One view end to end, one head at a time: adjacency, then assignment.
-    A head's K x K adjacency outlives its assignment only if kept for the
-    graph-cut loss; otherwise the returned adjacency list is empty."""
+    Kept for the graph-cut loss, a head's K x K adjacency is built whole;
+    otherwise the head is relu(softmax_gram_matmul(source @ W_adj,
+    features @ W_assign)), which never holds more than a tile of it, and the
+    returned adjacency list is empty."""
     assignments, adjacencies = [], []
     for m in range(view.n_heads):
-        a = dsc_adjacency(source, view.params[f"{view.prefix}.adj{m}"])
-        assignments.append(graph_cut_assign(a, features,
-                                            view.params[f"{view.prefix}.assign{m}"]))
+        w_adj = view.params[f"{view.prefix}.adj{m}"]
+        w_assign = view.params[f"{view.prefix}.assign{m}"]
         if keep_adjacencies:
+            a = dsc_adjacency(source, w_adj)
+            assignments.append(graph_cut_assign(a, features, w_assign))
             adjacencies.append(a)
+        else:
+            assignments.append(nk.relu(nk.softmax_gram_matmul(
+                _project(source, w_adj), nk.matmul(features, w_assign))))
     output = dsc_output(assignments, features, view.params[f"{view.prefix}.mix"])
     return output, assignments, adjacencies
 

@@ -55,8 +55,8 @@ def _dimension(text: str, name: str, path) -> int:
 
 
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
-    """Returns (tensors in file order, meta); a malformed file raises a
-    DataError naming it."""
+    """Returns (fresh tensors in file order, meta); a malformed file, or a
+    tensor holding a NaN or an infinity, raises a DataError naming it."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         if fh.read(len(MAGIC)) != MAGIC:
@@ -89,5 +89,8 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
             if nbytes > size - fh.tell():
                 raise DataError(f"truncated payload for tensor {name!r}", path=path)
             raw = fh.read(nbytes)
-            tensors[name] = np.frombuffer(raw, dtype="<f8").reshape(rows, cols).copy()
+            tensor = np.frombuffer(raw, dtype="<f8").reshape(rows, cols).copy()
+            if not np.isfinite(tensor).all():
+                raise DataError(f"tensor {name!r} holds a non-finite value", path=path)
+            tensors[name] = tensor
     return tensors, meta

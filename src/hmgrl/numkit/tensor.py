@@ -126,6 +126,12 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else constant(x)
 
 
+def recording(inputs) -> bool:
+    """Whether an op over `inputs` is recorded: a tape is active and some
+    input is differentiable."""
+    return _ACTIVE_TAPE is not None and any(t.requires_grad for t in inputs)
+
+
 def make_output(data: np.ndarray, inputs, backward) -> Tensor:
     """Create an op output and register its backward on the active tape.
 
@@ -133,8 +139,7 @@ def make_output(data: np.ndarray, inputs, backward) -> Tensor:
     Recording is skipped when no tape is active or no input is differentiable.
     """
     out = Tensor(data)
-    tape = _ACTIVE_TAPE
-    if tape is not None and any(t.requires_grad for t in inputs):
+    if recording(inputs):
         out.requires_grad = True
-        tape.record(out, backward)
+        _ACTIVE_TAPE.record(out, backward)
     return out

@@ -122,6 +122,28 @@ def test_train_eval_rerun_is_deterministic(synth_dir, tmp_path):
     assert ma == mb
 
 
+@pytest.mark.filterwarnings("ignore:fold .* no test interactions")
+def test_eval_skips_folds_too_small_to_score(tmp_path, capsys):
+    # task 3 on a sparse 20-drug set leaves test folds of [0, 0, 1, 0, 2] pairs
+    data = tmp_path / "d"
+    assert run_cli("synth", "--out", data, "--drugs", 20, "--density", 0.15,
+                   "--events", 4) == 0
+    train = ["train", "--drugs", data / "drugs.tsv", "--ddis", data / "ddis.tsv",
+             "--preset", "micro", "--task", 3, "--epochs", 1]
+    run_dir = tmp_path / "run"
+    assert run_cli(*train, "--out", run_dir) == 0
+    capsys.readouterr()
+    assert run_cli("eval", "--run", run_dir) == 0
+    out = capsys.readouterr().out
+    assert "fold 2: skipped, 1 test pairs (scoring needs at least 2)" in out
+    metrics = json.loads((run_dir / "metrics" / "metrics.json").read_text())
+    assert metrics["skipped_folds"] == [0, 1, 2, 3]
+    assert len(metrics["folds"]) == 1
+    only_small = tmp_path / "small"
+    assert run_cli(*train, "--only-folds", "0,2", "--out", only_small) == 0
+    assert run_cli("eval", "--run", only_small) == EXIT_DATA
+
+
 def test_missing_file_exit_code(tmp_path):
     assert run_cli("train", "--drugs", tmp_path / "absent.tsv",
                    "--ddis", tmp_path / "absent2.tsv") == EXIT_DATA
@@ -365,8 +387,8 @@ def _checkpoint_records(blob: bytes):
 
 
 def _corrupt_checkpoints(blob: bytes):
-    """(label, bytes) for every truncation at a record boundary and every
-    corrupted header or meta field."""
+    """(label, bytes) for every truncation at a record boundary, every
+    corrupted header or meta field, and a non-finite tensor value."""
     magic_end, meta_end, records = _checkpoint_records(blob)
     cases = [(f"truncated at {cut}", blob[:cut])
              for cut in [0, magic_end, meta_end]
@@ -393,6 +415,11 @@ def _corrupt_checkpoints(blob: bytes):
     def with_meta(payload: bytes):
         return blob[:magic_end] + b"meta\t" + payload + b"\n" + blob[meta_end:]
 
+    fc2_b = next(end for start, end, _ in records
+                 if blob[start:end].startswith(b"decoder.fc2.b\t"))
+    cases += [(f"non-finite {value} in decoder.fc2.b",
+               blob[:fc2_b] + np.array([value], "<f8").tobytes() + blob[fc2_b + 8:])
+              for value in (np.nan, np.inf)]
     cases += [("bad magic", b"HMGRL-CKPT v9\n" + blob[magic_end:]),
               ("meta not JSON", with_meta(b"{not json")),
               ("meta not UTF-8", with_meta(b'{"a": "\xff"}')),
@@ -435,3 +462,5 @@ def test_corrupt_checkpoint_is_data_error_naming_file(synth_dir, tmp_path, capsy
         err = capsys.readouterr().err
         assert code == EXIT_DATA, label
         assert str(bad) in err, label
+        if label.startswith("non-finite"):
+            assert "decoder.fc2.b" in err, label

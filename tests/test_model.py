@@ -3,10 +3,11 @@ import pytest
 
 from hmgrl import numkit as nk
 from hmgrl.config import apply_preset
-from hmgrl.errors import ShapeError, ValidationError
+from hmgrl.errors import BatchSizeError, ShapeError, ValidationError
 from hmgrl.evaluate import Fold, make_splits
 from hmgrl.graphcore import RelGraph
 from hmgrl.model import (
+    PAIR_BLOCK,
     DdiDataset,
     HmgrlModel,
     load_model,
@@ -176,6 +177,55 @@ def test_unlabelled_forward_skips_regularizers(monkeypatch):
     assert len(calls) == 8   # each loss once per view
     assert np.isfinite(scored.loss_total.item())
     assert np.array_equal(bare.probabilities.data, scored.probabilities.data)
+
+
+def untrained_micro_model():
+    data = micro_dataset()
+    model = HmgrlModel(micro_config(), data.table, data.n_relations, seed=5)
+    return data, model, RelGraph.from_triples(data.n_drugs, data.n_relations,
+                                              data.triples)
+
+
+def random_pairs(rng, n_drugs, count):
+    us = rng.integers(0, n_drugs, size=count)
+    vs = (us + rng.integers(1, n_drugs, size=count)) % n_drugs
+    return np.stack([us, vs], axis=1)
+
+
+def test_pair_blocks_are_independent_across_the_block_edge():
+    data, model, graph = untrained_micro_model()
+    pairs = random_pairs(np.random.default_rng(6), data.n_drugs, 300)
+    edge = slice(PAIR_BLOCK - 2, PAIR_BLOCK + 3)    # rows 126-130
+    with nk.no_grad():
+        embeddings = model.drug_embeddings(graph)
+        whole = model.comprehensive_features(embeddings, pairs[:, 0], pairs[:, 1])
+        alone = model.comprehensive_features(embeddings, pairs[edge, 0],
+                                             pairs[edge, 1])
+    assert whole.shape == (300, model.feature_dim)
+    assert np.abs(whole.data[edge] - alone.data).max() <= 1e-12
+
+
+def test_predict_needs_two_pairs():
+    _, model, graph = untrained_micro_model()
+    for pairs in ([], [(0, 1)]):
+        with pytest.raises(BatchSizeError):
+            predict(model, graph, pairs)
+
+
+def test_unlabelled_predict_never_holds_a_k_by_k_matrix():
+    import tracemalloc
+
+    data, model, graph = untrained_micro_model()
+    k = 2000
+    pairs = random_pairs(np.random.default_rng(7), data.n_drugs, k)
+    tracemalloc.start()
+    try:
+        _, probs = predict(model, graph, pairs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert probs.shape == (k, data.n_relations)
+    assert peak < k * k * 8, f"traced peak {peak / 2**20:.1f} MiB"
 
 
 def test_train_record_total_is_affine_combination():

@@ -309,3 +309,24 @@ def test_mvdsc_end_to_end_gradients():
         return nk.add(fit, result.regularizer)
 
     fd_check(loss, list(params.values()), rel_tol=2e-4)
+
+
+def test_unregularized_views_match_the_kept_adjacency_route():
+    # regularize=False runs each head through the tiled softmax_gram_matmul;
+    # regularize=True builds and keeps every K x K adjacency. K = 200 spans
+    # four tiles, the last one ragged.
+    rng = np.random.default_rng(12)
+    k, feat_dim = 200, 6
+    seq_dims = {"targets": 4, "enzymes": 5, "substructures": 7}
+    views = make_views(rng, feat_dim, seq_dims, c=3, m=2, proj=4)
+    sources = make_sources(rng, k, seq_dims)
+    h = nk.constant(rng.normal(size=(k, feat_dim)))
+    tiled = mvdsc_forward(h, sources, views, regularize=False)
+    dense = mvdsc_forward(h, sources, views, regularize=True)
+    assert tiled.regularizer is None and tiled.diagnostics == {}
+    scale = np.abs(dense.representation.data).max()
+    assert np.abs(tiled.representation.data
+                  - dense.representation.data).max() <= 1e-12 * scale
+    one_pair = {kind: m[:1] for kind, m in sources.items()}
+    with pytest.raises(BatchSizeError):
+        mvdsc_forward(nk.constant(h.data[:1]), one_pair, views, regularize=False)

@@ -87,6 +87,38 @@ def test_softmax_gradient():
     fd_check(loss, [x])
 
 
+def dense_softmax_gram_matmul(p, b):
+    """The untiled formula: softmax_rows(p @ p^T) @ b through the plain ops."""
+    p = nk.constant(p)
+    return nk.matmul(nk.softmax_rows(nk.matmul(p, nk.transpose(p))), nk.constant(b))
+
+
+@pytest.mark.parametrize("k", [2, 63, 64, 65, 200])
+def test_softmax_gram_matmul_matches_dense_formula(k):
+    # 63/64/65 sit at the tile edge; 200 ends in a ragged tile of 8 rows
+    rng = np.random.default_rng(k)
+    p = rng.normal(size=(k, 5))
+    b = rng.normal(size=(k, 3))
+    dense = dense_softmax_gram_matmul(p, b).data
+    tiled = nk.softmax_gram_matmul(p, b).data
+    assert np.abs(tiled - dense).max() <= 1e-12 * np.abs(dense).max()
+    with nk.Tape():   # the route that keeps A for a backward
+        kept = nk.softmax_gram_matmul(nk.parameter(p), b).data
+    assert np.abs(kept - dense).max() <= 1e-12 * np.abs(dense).max()
+
+
+def test_softmax_gram_matmul_gradients():
+    rng = np.random.default_rng(2)
+    p = nk.parameter(rng.normal(size=(70, 3)))   # two tiles, the second ragged
+    b = nk.parameter(rng.normal(size=(70, 4)))
+    w = rng.normal(size=(70, 4))
+
+    def loss():
+        return nk.sum_all(nk.mul(nk.softmax_gram_matmul(p, b), nk.constant(w)))
+
+    fd_check(loss, [p, b])
+
+
 def test_relu():
     out = nk.relu(nk.constant([[-1.0, 0.0, 2.0]]))
     assert np.array_equal(out.data, [[0.0, 0.0, 2.0]])
@@ -137,6 +169,21 @@ def test_concat_cols_and_slice_gradients():
         return nk.sum_all(nk.mul(nk.slice_cols(cat, 1, 6), nk.constant(w[:, 1:])))
 
     fd_check(loss, [a, b])
+
+
+def test_concat_rows_stacks_in_order_and_splits_gradient():
+    rng = np.random.default_rng(10)
+    a = nk.parameter(rng.normal(size=(2, 3)))
+    b = nk.parameter(rng.normal(size=(4, 3)))
+    w = rng.normal(size=(6, 3))
+    assert np.array_equal(nk.concat_rows([a, b]).data, np.vstack([a.data, b.data]))
+
+    def loss():
+        return nk.sum_all(nk.mul(nk.concat_rows([a, b]), nk.constant(w)))
+
+    fd_check(loss, [a, b])
+    with pytest.raises(ShapeError):
+        nk.concat_rows([a, nk.constant(np.ones((1, 2)))])
 
 
 def test_gather_rows_gradient_accumulates_duplicates():
