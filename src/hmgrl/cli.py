@@ -148,6 +148,20 @@ def _selected_folds(cfg: RunConfig):
     return folds
 
 
+def _scorable_folds(plan, fold_indices):
+    """(kept, skipped) selected folds: a fold with fewer than 2 test pairs
+    cannot be scored, since the clustering views cluster the query batch."""
+    kept = [i for i in fold_indices if len(plan.folds[i].test) >= 2]
+    skipped = [i for i in fold_indices if i not in kept]
+    for i in skipped:
+        print(f"fold {i}: skipped, {len(plan.folds[i].test)} test pairs "
+              f"(scoring needs at least 2)")
+    if not kept:
+        raise DataError(f"no selected fold has the 2 test pairs scoring needs "
+                        f"(skipped folds {skipped})")
+    return kept, skipped
+
+
 def cmd_train(args) -> int:
     cfg = _config_from_args(args)
     if args.drugs:
@@ -165,10 +179,11 @@ def cmd_train(args) -> int:
         raise ParameterError("train needs --drugs and --ddis (or config entries)")
     fold_indices = _selected_folds(cfg)
     dataset = DdiDataset.load(cfg.drug_table, cfg.ddi_file)
-    run_dir = _run_dir(args.out)
-    save_config(run_dir / "config" / "config.json", cfg)
     plan = make_splits(dataset.triples, dataset.n_drugs, task=cfg.task,
                        n_folds=cfg.n_folds, seed=cfg.seed)
+    fold_indices, _ = _scorable_folds(plan, fold_indices)
+    run_dir = _run_dir(args.out)
+    save_config(run_dir / "config" / "config.json", cfg)
     for fold_index in fold_indices:
         log_path = run_dir / "log" / f"fold{fold_index}.jsonl"
         with open(log_path, "w", encoding="utf-8") as log:
@@ -194,14 +209,10 @@ def cmd_eval(args) -> int:
     dataset = DdiDataset.load(cfg.drug_table, cfg.ddi_file)
     plan = make_splits(dataset.triples, dataset.n_drugs, task=cfg.task,
                        n_folds=cfg.n_folds, seed=cfg.seed)
-    reports, skipped = [], []
+    fold_indices, skipped = _scorable_folds(plan, fold_indices)
+    reports = []
     for fold_index in fold_indices:
         fold = plan.folds[fold_index]
-        if len(fold.test) < 2:  # the clustering views cluster the query batch
-            skipped.append(fold_index)
-            print(f"fold {fold_index}: skipped, {len(fold.test)} test pairs "
-                  f"(scoring needs at least 2)")
-            continue
         ckpt = run_dir / "checkpoint" / f"fold{fold_index}.ckpt"
         if not ckpt.exists():
             raise DataError(f"missing checkpoint for fold {fold_index}", path=ckpt)
@@ -215,9 +226,6 @@ def cmd_eval(args) -> int:
         reports.append(report)
         print(f"fold {fold_index}: " + "  ".join(
             f"{k}={v:.4f}" for k, v in list(report.as_dict().items())[:6]))
-    if not reports:
-        raise DataError(f"no selected fold has the 2 test pairs scoring needs "
-                        f"(skipped folds {skipped})")
     summary = summarize_reports(reports)
     summary["skipped_folds"] = skipped
     summary["config"] = cfg.as_dict()

@@ -21,7 +21,8 @@ from .featurize import SMILES_CLASSES, SMILES_POSITIONS
 @dataclass
 class CnnBlock:
     """Three valid 1-D convolution stages (shifted GEMMs over position-major
-    activations; kernels as checkpoints store them), global max pool, linear head."""
+    activations; kernels as checkpoints store them), global max pool, linear
+    head, over pair rows of `positions` characters: drug u's half, then v's."""
 
     prefix: str
     channels: tuple      # e.g. (32, 64, 96)
@@ -54,26 +55,46 @@ class CnnBlock:
         return cls(prefix, channels, kernel_widths, out_dim, in_channels,
                    positions, params)
 
-    def forward(self, smiles_rows) -> nk.Tensor:
-        """smiles_rows: K x positions character indices (see conv1d_onehot);
-        stage 0 gathers kernel columns instead of convolving a one-hot input."""
-        rows = np.asarray(smiles_rows)
-        if rows.ndim != 2 or rows.shape[1] != self.positions:
-            raise ShapeError(f"{self.prefix}: index rows of shape {rows.shape}, "
-                             f"need K x {self.positions}")
+    def forward(self, smiles, us, vs) -> nk.Tensor:
+        """Features of the pairs (us[k], vs[k]) over the per-drug index table
+        `smiles` (N x positions/2; see conv1d_onehot), as if each pair's two
+        rows were convolved side by side. The stack reaches R = sum(w - 1)
+        positions, so outside the seam (u's last R positions, v's first R) a
+        pair-row output sees one drug: each batch drug is pooled once, each
+        seam once, and the pools maxed in position order (u, seam, v), the
+        whole row's first-max tie-break. With R >= positions/2 the seam is
+        the whole row and no drug is pooled alone."""
+        table = np.asarray(smiles)
+        half = self.positions // 2
+        if table.ndim != 2 or 2 * table.shape[1] != self.positions:
+            raise ShapeError(f"{self.prefix}: index table of shape {table.shape}, "
+                             f"need N x {half}")
+        reach = sum(w - 1 for w in self.kernel_widths)
+        seam = min(max(reach, 1), half)   # width-1 kernels still need a position
+        parts = [self._pool(np.hstack([table[us, half - seam:], table[vs, :seam]]))]
+        if reach < half:
+            drugs, where = np.unique(np.concatenate([us, vs]), return_inverse=True)
+            own = self._pool(table[drugs])
+            parts = [nk.gather_rows(own, where[:len(us)]), parts[0],
+                     nk.gather_rows(own, where[len(us):])]
+        pooled = nk.global_max_pool(nk.concat_cols(parts), self.channels[-1],
+                                    len(parts))
+        return nk.add_rowvec(nk.matmul(pooled, self.params[f"{self.prefix}.proj.w"]),
+                             self.params[f"{self.prefix}.proj.b"])
+
+    def _pool(self, rows) -> nk.Tensor:
+        """Conv stack and global max pool over index rows of any length."""
         p = self.params
 
         def stage(i):
             return p[f"{self.prefix}.conv{i}.w"], p[f"{self.prefix}.conv{i}.b"]
 
         x = nk.relu(nk.conv1d_onehot(rows, *stage(0), self.in_channels))
-        length = self.positions - self.kernel_widths[0] + 1
+        length = rows.shape[1] - self.kernel_widths[0] + 1
         for i in range(1, len(self.channels)):
             x = nk.relu(nk.conv1d_bank(x, *stage(i), self.channels[i - 1], length))
             length -= self.kernel_widths[i] - 1
-        pooled = nk.global_max_pool(x, self.channels[-1], length)
-        return nk.add_rowvec(nk.matmul(pooled, p[f"{self.prefix}.proj.w"]),
-                             p[f"{self.prefix}.proj.b"])
+        return nk.global_max_pool(x, self.channels[-1], length)
 
 
 @dataclass

@@ -41,14 +41,6 @@ from .graphcore import (
 )
 from .mvdsc import VIEW_ORDER, DscView, mvdsc_forward
 
-# Pairs per block of the per-pair stack (CNN, encoders, assembly). The CNN's
-# per-offset buffers for 128 pairs stay in cache: its forward over 2,614 pairs
-# at the graph benchmark's dims took ~480 ms in blocks of 128 against ~740 ms
-# whole (2-core x86 box). Blocks of 32-64 gained only ~10-40 ms more and would
-# split the `small` preset's 128-pair training batches, which now run as one.
-PAIR_BLOCK = 128
-
-
 @dataclass
 class DdiDataset:
     """Drug table plus resolved (u, v, event) index triples."""
@@ -226,18 +218,7 @@ class HmgrlModel:
 
     def comprehensive_features(self, embeddings: nk.Tensor, us: np.ndarray,
                                vs: np.ndarray) -> nk.Tensor:
-        """Per-pair features in blocks of PAIR_BLOCK pairs, stacked in order.
-        Every layer here maps each pair's row on its own, so the blocking
-        changes no value; a batch of at most PAIR_BLOCK pairs is one block."""
-        blocks = [self._pair_block(embeddings, us[lo:lo + PAIR_BLOCK],
-                                   vs[lo:lo + PAIR_BLOCK])
-                  for lo in range(0, len(us), PAIR_BLOCK)]
-        return blocks[0] if len(blocks) == 1 else nk.concat_rows(blocks)
-
-    def _pair_block(self, embeddings: nk.Tensor, us: np.ndarray,
-                    vs: np.ndarray) -> nk.Tensor:
-        h_smi = self.cnn.forward(np.hstack([self.smiles_index[us],
-                                            self.smiles_index[vs]]))
+        h_smi = self.cnn.forward(self.smiles_index, us, vs)
         emb_pair = nk.concat_cols([nk.gather_rows(embeddings, us),
                                    nk.gather_rows(embeddings, vs)])
         h_emb = self.enc_embedding.forward(emb_pair)

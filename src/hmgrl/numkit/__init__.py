@@ -12,7 +12,6 @@ from .ops import (
     add_rowvec,
     block_matmul,
     concat_cols,
-    concat_rows,
     conv1d_bank,
     conv1d_onehot,
     div,
@@ -41,7 +40,7 @@ from .tensor import Tape, Tensor, as_tensor, constant, no_grad, parameter
 __all__ = [
     "MAGIC", "OptimizerState", "Tape", "Tensor",
     "adam_step", "add", "add_rowvec", "as_tensor", "block_matmul",
-    "concat_cols", "concat_rows", "constant", "conv1d_bank", "conv1d_onehot",
+    "concat_cols", "constant", "conv1d_bank", "conv1d_onehot",
     "div", "dropout", "frobenius_norm", "gather_rows", "global_max_pool",
     "layer_norm_rows", "load_checkpoint", "log_clamped", "matmul", "mul",
     "mul_rowvec", "no_grad", "parameter", "relu", "reshape", "save_checkpoint",

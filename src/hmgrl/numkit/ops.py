@@ -280,22 +280,6 @@ def concat_cols(tensors) -> Tensor:
     return make_output(np.hstack([t.data for t in tensors]), tuple(tensors), backward)
 
 
-def concat_rows(tensors) -> Tensor:
-    """Stack row blocks top to bottom, preserving order."""
-    tensors = [as_tensor(t) for t in tensors]
-    cols = tensors[0].shape[1]
-    for t in tensors:
-        if t.shape[1] != cols:
-            raise ShapeError("concat_rows: column counts differ")
-    edges = np.cumsum([0] + [t.shape[0] for t in tensors])
-
-    def backward(g):
-        for t, lo, hi in zip(tensors, edges[:-1], edges[1:]):
-            t.accumulate(g[lo:hi])
-
-    return make_output(np.vstack([t.data for t in tensors]), tuple(tensors), backward)
-
-
 def slice_cols(a, lo: int, hi: int) -> Tensor:
     a = as_tensor(a)
     if not 0 <= lo < hi <= a.shape[1]:

@@ -60,8 +60,9 @@ def adam_step(params: dict[str, Tensor], state: OptimizerState) -> None:
         g = p.grad if p.grad is not None else np.zeros_like(p.data)
         if g.shape != p.data.shape:
             raise ShapeError(f"{name}: grad shape {g.shape} != param {p.data.shape}")
-        m = state.m.setdefault(name, np.zeros_like(p.data))
-        v = state.v.setdefault(name, np.zeros_like(p.data))
+        if name not in state.m:   # zeroed moments only on a parameter's first step
+            state.m[name], state.v[name] = np.zeros_like(p.data), np.zeros_like(p.data)
+        m, v = state.m[name], state.v[name]
         m *= b1
         m += (1.0 - b1) * g
         v *= b2

@@ -131,17 +131,21 @@ def test_eval_skips_folds_too_small_to_score(tmp_path, capsys):
     train = ["train", "--drugs", data / "drugs.tsv", "--ddis", data / "ddis.tsv",
              "--preset", "micro", "--task", 3, "--epochs", 1]
     run_dir = tmp_path / "run"
+    skip_line = "fold 2: skipped, 1 test pairs (scoring needs at least 2)"
     assert run_cli(*train, "--out", run_dir) == 0
-    capsys.readouterr()
+    assert skip_line in capsys.readouterr().out
+    # a fold that eval cannot score is not trained: no log, no checkpoint
+    assert sorted(p.name for p in (run_dir / "checkpoint").iterdir()) == ["fold4.ckpt"]
+    assert sorted(p.name for p in (run_dir / "log").iterdir()) == ["fold4.jsonl"]
     assert run_cli("eval", "--run", run_dir) == 0
-    out = capsys.readouterr().out
-    assert "fold 2: skipped, 1 test pairs (scoring needs at least 2)" in out
+    assert skip_line in capsys.readouterr().out
     metrics = json.loads((run_dir / "metrics" / "metrics.json").read_text())
     assert metrics["skipped_folds"] == [0, 1, 2, 3]
     assert len(metrics["folds"]) == 1
     only_small = tmp_path / "small"
-    assert run_cli(*train, "--only-folds", "0,2", "--out", only_small) == 0
-    assert run_cli("eval", "--run", only_small) == EXIT_DATA
+    assert run_cli(*train, "--only-folds", "0,2", "--out", only_small) == EXIT_DATA
+    assert "no selected fold has the 2 test pairs" in capsys.readouterr().err
+    assert not only_small.exists()
 
 
 def test_missing_file_exit_code(tmp_path):

@@ -1,7 +1,9 @@
 import numpy as np
+import pytest
 
 from hmgrl import numkit as nk
 from hmgrl.encoders import CnnBlock, EncoderBlock, assemble_comprehensive
+from hmgrl.errors import ShapeError
 from hmgrl.featurize import SMILES_EMPTY, encode_smiles
 from tests.test_numkit import fd_check
 
@@ -17,17 +19,26 @@ def index_rows(rng, k, in_channels, positions):
     return rng.integers(0, in_channels + 1, size=(k, positions)).astype(np.uint8)
 
 
+def whole_row_features(block, table, us, vs):
+    """Oracle: convolve each pair's two rows side by side, then pool and project."""
+    pooled = block._pool(np.hstack([table[us], table[vs]]))
+    return nk.add_rowvec(nk.matmul(pooled, block.params["cnn.proj.w"]),
+                         block.params["cnn.proj.b"])
+
+
 def test_cnn_output_dim_shape_law():
     rng = np.random.default_rng(0)
     block = small_cnn(rng)
-    x = index_rows(rng, 7, 6, 20)
-    assert block.forward(x).shape == (7, 5)
+    table = index_rows(rng, 4, 6, 10)
+    us, vs = rng.integers(0, 4, size=7), rng.integers(0, 4, size=7)
+    assert block.forward(table, us, vs).shape == (7, 5)
 
 
 def test_cnn_zero_input_is_bias_driven_constant():
     rng = np.random.default_rng(1)
     block = small_cnn(rng)
-    out = block.forward(np.full((3, 20), 6, dtype=np.uint8)).data  # all empty
+    table = np.full((3, 10), 6, dtype=np.uint8)  # all empty
+    out = block.forward(table, [0, 1, 2], [1, 2, 0]).data
     # expected: bias constants flow through each stage, then the linear head
     v = np.maximum(block.params["cnn.conv0.b"].data[0], 0.0)
     w1 = block.params["cnn.conv1.w"].data
@@ -42,35 +53,82 @@ def test_cnn_real_smiles_pair_and_pad_permutation():
     block = CnnBlock.build(rng, "cnn", channels=(4, 4), kernel_widths=(3, 3),
                            out_dim=6)
     s_u, s_v = encode_smiles("CCO"), encode_smiles("c1ccccc1")
-    row = np.hstack([s_u, s_v])
-    out = block.forward(row[None, :]).data
+    out = block.forward(np.stack([s_u, s_v]), [0], [1]).data
     # permuting empty pad positions among themselves changes nothing
     s_u2 = s_u.copy()
     assert s_u2[50] == s_u2[80] == SMILES_EMPTY
     s_u2[[50, 80]] = s_u2[[80, 50]]
-    out2 = block.forward(np.hstack([s_u2, s_v])[None, :]).data
+    out2 = block.forward(np.stack([s_u2, s_v]), [0], [1]).data
     assert np.array_equal(out, out2)
     # a stacked batch gives each pair's row, in order
     index = np.stack([encode_smiles(s) for s in ("CCO", "c1ccccc1", "N#N", "")])
     us, vs = np.array([0, 1, 3, 2]), np.array([1, 0, 2, 3])
-    batch = block.forward(np.hstack([index[us], index[vs]])).data
-    singles = np.vstack([block.forward(np.hstack([index[u], index[v]])[None, :]).data
-                         for u, v in zip(us, vs)])
+    batch = block.forward(index, us, vs).data
+    singles = np.vstack([block.forward(index, [u], [v]).data for u, v in zip(us, vs)])
     assert np.allclose(batch, singles, atol=1e-12)
+
+
+@pytest.mark.parametrize("widths, positions", [
+    ((3, 4), 20),    # R = 5 < 10: drug pools plus a 10-position seam
+    ((2, 2), 6),     # R = 2 < 3: one drug-pool position each side
+    ((3, 4), 10),    # R = 5 = half: the seam is the whole row
+    ((3, 4), 8),     # R = 5 > half
+    ((1, 1), 12),    # R = 0: width-1 kernels
+])
+def test_cnn_matches_the_whole_row_route_bit_for_bit(widths, positions):
+    rng = np.random.default_rng(11)
+    block = CnnBlock.build(rng, "cnn", channels=(4, 5), kernel_widths=widths,
+                           out_dim=3, in_channels=6, positions=positions)
+    for p in block.params.values():
+        p.data = rng.normal(size=p.shape)
+    table = index_rows(rng, 6, 6, positions // 2)
+    table[2, positions // 4:] = 6           # a drug with trailing empty positions
+    us = np.array([0, 1, 2, 2, 5, 3, 0, 4])  # repeated drugs, both orders
+    vs = np.array([1, 0, 3, 4, 2, 2, 5, 0])
+    with nk.no_grad():
+        out = block.forward(table, us, vs).data
+        oracle = whole_row_features(block, table, us, vs).data
+    assert np.array_equal(out, oracle)
+    with pytest.raises(ShapeError):
+        block.forward(table[:, 1:], us, vs)
+
+
+def test_cnn_tie_between_identical_drugs_matches_whole_row_gradients():
+    rng = np.random.default_rng(12)
+    block = small_cnn(rng, out_dim=3)
+    table = index_rows(rng, 3, 6, 10)
+    table[1] = table[0]                      # two distinct drugs, one SMILES
+    us, vs = np.array([0, 1, 0, 2]), np.array([1, 0, 2, 1])
+    w = rng.normal(size=(4, 3))
+    kernels = [p for name, p in block.params.items() if ".conv" in name]
+
+    def grads(features):
+        for p in block.params.values():
+            p.zero_grad()
+        with nk.Tape() as tape:
+            loss = nk.sum_all(nk.mul(features(), nk.constant(w)))
+        tape.backward(loss)
+        return [p.grad.copy() for p in kernels]
+
+    new = grads(lambda: block.forward(table, us, vs))
+    old = grads(lambda: whole_row_features(block, table, us, vs))
+    for g_new, g_old in zip(new, old):
+        assert np.abs(g_new - g_old).max() <= 1e-12
 
 
 def test_cnn_gradients():
     rng = np.random.default_rng(3)
     block = small_cnn(rng, out_dim=3, in_channels=2, positions=12)
-    x = index_rows(rng, 2, 2, 12)
-    w = rng.normal(size=(2, 3))
+    table = index_rows(rng, 3, 2, 6)
+    us, vs = np.array([0, 2, 1]), np.array([1, 0, 0])
+    w = rng.normal(size=(3, 3))
     params = list(block.params.values())
     for name, p in block.params.items():  # an all-empty window sits exactly on
         if name.endswith(".b"):           # relu's kink while the biases are 0
             p.data = rng.normal(scale=0.1, size=p.shape)
 
     def loss():
-        return nk.sum_all(nk.mul(block.forward(x), nk.constant(w)))
+        return nk.sum_all(nk.mul(block.forward(table, us, vs), nk.constant(w)))
 
     fd_check(loss, params)
 

@@ -7,7 +7,6 @@ from hmgrl.errors import BatchSizeError, ShapeError, ValidationError
 from hmgrl.evaluate import Fold, make_splits
 from hmgrl.graphcore import RelGraph
 from hmgrl.model import (
-    PAIR_BLOCK,
     DdiDataset,
     HmgrlModel,
     load_model,
@@ -192,17 +191,36 @@ def random_pairs(rng, n_drugs, count):
     return np.stack([us, vs], axis=1)
 
 
-def test_pair_blocks_are_independent_across_the_block_edge():
+def test_pair_features_do_not_depend_on_the_rest_of_the_batch():
     data, model, graph = untrained_micro_model()
     pairs = random_pairs(np.random.default_rng(6), data.n_drugs, 300)
-    edge = slice(PAIR_BLOCK - 2, PAIR_BLOCK + 3)    # rows 126-130
+    some = slice(126, 131)    # drugs pooled once serve every pair of the batch
     with nk.no_grad():
         embeddings = model.drug_embeddings(graph)
         whole = model.comprehensive_features(embeddings, pairs[:, 0], pairs[:, 1])
-        alone = model.comprehensive_features(embeddings, pairs[edge, 0],
-                                             pairs[edge, 1])
+        alone = model.comprehensive_features(embeddings, pairs[some, 0],
+                                             pairs[some, 1])
     assert whole.shape == (300, model.feature_dim)
-    assert np.abs(whole.data[edge] - alone.data).max() <= 1e-12
+    assert np.abs(whole.data[some] - alone.data).max() <= 1e-12
+
+
+def test_predict_convolves_each_drug_once_and_each_pair_only_at_its_seam(monkeypatch):
+    data, model, graph = untrained_micro_model()
+    k = 2000
+    pairs = random_pairs(np.random.default_rng(8), data.n_drugs, k)
+    convolved = []
+    original = nk.conv1d_onehot
+
+    def spy(index, *args):
+        convolved.append(np.asarray(index).size)
+        return original(index, *args)
+
+    monkeypatch.setattr(nk, "conv1d_onehot", spy)
+    predict(model, graph, pairs)
+    reach = sum(w - 1 for w in model.config.cnn_kernels)
+    n_drugs = len(np.unique(pairs))
+    # the whole-row route convolves k * 200 positions, ~8x this bound here
+    assert 0 < sum(convolved) <= n_drugs * 100 + k * 2 * reach
 
 
 def test_predict_needs_two_pairs():

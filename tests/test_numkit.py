@@ -171,21 +171,6 @@ def test_concat_cols_and_slice_gradients():
     fd_check(loss, [a, b])
 
 
-def test_concat_rows_stacks_in_order_and_splits_gradient():
-    rng = np.random.default_rng(10)
-    a = nk.parameter(rng.normal(size=(2, 3)))
-    b = nk.parameter(rng.normal(size=(4, 3)))
-    w = rng.normal(size=(6, 3))
-    assert np.array_equal(nk.concat_rows([a, b]).data, np.vstack([a.data, b.data]))
-
-    def loss():
-        return nk.sum_all(nk.mul(nk.concat_rows([a, b]), nk.constant(w)))
-
-    fd_check(loss, [a, b])
-    with pytest.raises(ShapeError):
-        nk.concat_rows([a, nk.constant(np.ones((1, 2)))])
-
-
 def test_gather_rows_gradient_accumulates_duplicates():
     x = nk.parameter([[1.0, 2.0], [3.0, 4.0]])
     with nk.Tape() as tape:
