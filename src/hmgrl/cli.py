@@ -194,6 +194,7 @@ def cmd_train(args) -> int:
                                            fold_index=fold_index, log_fn=log_fn)
         save_model(run_dir / "checkpoint" / f"fold{fold_index}.ckpt", model,
                    extra_meta={"fold": fold_index})
+        del model  # the next fold trains without this one alive
         print(f"fold {fold_index}: {len(records)} batches, "
               f"final loss {records[-1].loss_total:.6f}")
     print(f"run directory: {run_dir}")

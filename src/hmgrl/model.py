@@ -95,19 +95,29 @@ class ForwardResult:
     labels_used: np.ndarray | None = None
 
 
+class _NoDraws:
+    """Stands in for the initializer's Generator when every parameter comes
+    from given arrays: a draw is a zero-stride view, so no random numbers are
+    made before the arrays replace the parameters."""
+
+    @staticmethod
+    def uniform(low, high, size):
+        return np.broadcast_to(np.float64(0.0), size)
+
+
 class HmgrlModel:
-    """All named parameters plus the table-level constant features."""
+    """All named parameters plus the table-level constant features. The
+    parameters are a seeded initialization, or the given named `arrays`
+    themselves (a checkpoint's), checked by load_arrays; then none is drawn."""
 
     def __init__(self, config: RunConfig, table: DrugTable, n_relations: int,
-                 seed=0):
+                 seed=0, arrays: dict[str, np.ndarray] | None = None):
         self.config = config
         self.table = table
         self.n_relations = n_relations
         self.n_drugs = len(table)
 
-        if not isinstance(seed, np.random.SeedSequence):
-            seed = np.random.SeedSequence(seed)
-        init_rng = np.random.default_rng(seed)
+        init_rng = np.random.default_rng(seed) if arrays is None else _NoDraws()
 
         # constant table-level features
         self.dds = DDSGraph.from_table(table)
@@ -181,6 +191,8 @@ class HmgrlModel:
         self.params["decoder.fc1.b"] = nk.parameter(np.zeros((1, hidden)))
         self.params["decoder.fc2.w"] = nk.xavier_uniform(init_rng, hidden, n_relations)
         self.params["decoder.fc2.b"] = nk.parameter(np.zeros((1, n_relations)))
+        if arrays is not None:
+            self.load_arrays(arrays)
 
     # ------------------------------------------------------------- plumbing
 
@@ -355,7 +367,8 @@ def _batches(n_items: int, batch_size: int, order: np.ndarray):
 
 def train_fold(config: RunConfig, dataset: DdiDataset, fold: Fold,
                fold_index: int = 0, log_fn=None):
-    """Train one fold from scratch; returns (model, graph, records).
+    """Train one fold from scratch; returns (model, graph, records), the
+    model holding no gradients.
 
     The relational graph is built from the fold's training interactions
     only; held-out edges never enter the adjacency.
@@ -411,6 +424,7 @@ def train_fold(config: RunConfig, dataset: DdiDataset, fold: Fold,
             records.append(record)
             if log_fn is not None:
                 log_fn(record)
+    model.zero_grad()  # the last step's gradients are spent
     return model, graph, records
 
 
@@ -453,9 +467,8 @@ def load_model(path, table: DrugTable) -> tuple[HmgrlModel, dict]:
     if meta["n_relations"] > len(arrays):  # every relation owns rgcn weights
         raise DataError(f"meta n_relations={meta['n_relations']} exceeds the "
                         f"{len(arrays)} tensors stored", path=path)
-    model = HmgrlModel(config, table, meta["n_relations"], seed=0)
     try:
-        model.load_arrays(arrays)
+        model = HmgrlModel(config, table, meta["n_relations"], arrays=arrays)
     except (ValidationError, ShapeError) as err:
         raise DataError(str(err), path=path) from None
     return model, meta

@@ -3,7 +3,11 @@
 Every value is a float64 matrix (scalars are 1x1). Ops append a backward
 closure to the active Tape in forward order; Tape.backward replays them in
 exact reverse order, so the traversal is a valid reverse topological order
-of the define-by-run graph. The tape is rebuilt every forward pass.
+of the define-by-run graph. The tape is rebuilt every forward pass and
+released op by op during backward: each record is dropped, and its output's
+gradient cleared, as soon as its closure has run, so an activation, the
+arrays its closure captured and its gradient are freed once the last op
+that reads them has run backward.
 
 numpy provides storage and the BLAS kernels; all differentiation logic
 lives here.
@@ -19,10 +23,14 @@ _ACTIVE_TAPE: "Tape | None" = None
 
 
 class Tape:
-    """Ordered record of primitive ops with input/output references."""
+    """Ordered record of primitive ops with input/output references.
+
+    backward consumes it, releasing each record once its closure has run,
+    so a tape runs backward once; len() still counts the recorded ops."""
 
     def __init__(self):
         self._records = []  # (output Tensor, backward fn), forward order
+        self._released = None  # record count, once backward has consumed them
 
     def __enter__(self) -> "Tape":
         global _ACTIVE_TAPE
@@ -40,17 +48,25 @@ class Tape:
         self._records.append((out, backward))
 
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self._records) if self._released is None else self._released
 
     def backward(self, loss: "Tensor") -> None:
-        """Seed d(loss)/d(loss) = 1 and replay ops in reverse forward order."""
+        """Seed d(loss)/d(loss) = 1 and replay ops in reverse forward order,
+        releasing each record after its closure has run."""
+        if self._released is not None:
+            raise RuntimeError("this Tape has already run backward; "
+                               "record a new one")
         if loss.shape != (1, 1):
             raise ShapeError(f"backward() needs a 1x1 loss, got {loss.shape}")
+        records = self._records
+        self._released = len(records)
         loss._ensure_grad()
         loss.grad[...] = 1.0
-        for out, backward in reversed(self._records):
+        while records:
+            out, backward = records.pop()
             if out.grad is not None:
                 backward(out.grad)
+                out.grad = None  # never a parameter: outputs are op results
 
 
 class no_grad:

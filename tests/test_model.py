@@ -1,3 +1,7 @@
+import gc
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -231,8 +235,6 @@ def test_predict_needs_two_pairs():
 
 
 def test_unlabelled_predict_never_holds_a_k_by_k_matrix():
-    import tracemalloc
-
     data, model, graph = untrained_micro_model()
     k = 2000
     pairs = random_pairs(np.random.default_rng(7), data.n_drugs, k)
@@ -322,6 +324,22 @@ def test_predict_roundtrips_through_checkpoint(tmp_path):
     assert np.array_equal(probs1.argmax(axis=1), pred1)
 
 
+def test_load_model_draws_no_initialization(tmp_path, monkeypatch):
+    data = micro_dataset()
+    model = HmgrlModel(micro_config(), data.table, data.n_relations, seed=4)
+    path = tmp_path / "m.ckpt"
+    save_model(path, model)
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("load_model drew a seeded initialization")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    loaded, _ = load_model(path, data.table)
+    assert list(loaded.params) == list(model.params)
+    for name, p in model.params.items():
+        assert np.array_equal(loaded.params[name].data, p.data), name
+
+
 def test_loss_ce_shape_mismatch():
     with pytest.raises(ShapeError):
         loss_ce(nk.constant(np.ones((2, 3)) / 3), one_hot([0], 3))
@@ -355,3 +373,88 @@ def test_end_to_end_gradients_every_named_parameter():
                        rng=np.random.default_rng(11))
     bad = {k: v for k, v in report.items() if not v["ok"]}
     assert not bad, f"gradient mismatches: {bad}"
+
+
+def test_train_fold_returns_a_model_without_gradients():
+    data = micro_dataset()
+    cfg = micro_config(epochs=1, batch_size=8)
+    plan = make_splits(data.triples, data.n_drugs, task=1, n_folds=3, seed=0)
+    model, _, records = train_fold(cfg, data, plan.folds[0], fold_index=0)
+    assert records
+    assert all(p.grad is None for p in model.params.values())
+
+
+def desk_batch(size=128):
+    """The `small` preset on the 60-drug desk set, a seeded model, and one
+    labelled batch of `size` training pairs."""
+    table, id_triples = generate(SynthSpec(seed=0))
+    triples = [(table.lookup(a), table.lookup(b), r) for a, b, r in id_triples]
+    data = DdiDataset(table, triples, max(r for _, _, r in triples) + 1)
+    model = HmgrlModel(apply_preset("small"), data.table, data.n_relations, seed=0)
+    graph = RelGraph.from_triples(data.n_drugs, data.n_relations, data.triples)
+    batch = data.triples[:size]
+    pairs = np.array([(u, v) for u, v, _ in batch])
+    return model, graph, pairs, one_hot([r for _, _, r in batch], data.n_relations)
+
+
+def labelled_training_forward(model, graph, pairs, labels):
+    """One seeded training forward (dropout and mixup on) under a new tape."""
+    with nk.Tape() as tape:
+        result = model.forward(graph, pairs, labels=labels, training=True,
+                               dropout_rng=np.random.default_rng(1),
+                               mixup_rng=np.random.default_rng(2))
+    return tape, result
+
+
+def test_releasing_backward_matches_the_keeping_replay():
+    model, graph, pairs, labels = desk_batch()
+    model.zero_grad()
+    tape, result = labelled_training_forward(model, graph, pairs, labels)
+    tape.backward(result.loss_total)
+    released = {name: p.grad.copy() for name, p in model.params.items()}
+
+    # oracle: replay a snapshot of every record in reverse, keeping them all
+    model.zero_grad()
+    tape, result = labelled_training_forward(model, graph, pairs, labels)
+    records = list(tape._records)
+    loss = result.loss_total
+    loss.grad = np.ones((1, 1))
+    for out, backward in reversed(records):
+        if out.grad is not None:
+            backward(out.grad)
+    for name, p in model.params.items():
+        assert np.array_equal(released[name], p.grad), name
+
+
+def test_backward_keeps_no_record():
+    model, graph, pairs, labels = desk_batch(size=32)
+    tape, result = labelled_training_forward(model, graph, pairs, labels)
+    held = [result.probabilities, result.loss_ce, result.loss_total,
+            result.regularizer]
+    # the activations, e.g. the decoder's hidden layer, by their arrays
+    intermediates = [weakref.ref(out.data) for out, _ in tape._records
+                     if not any(out is t for t in held)]
+    assert len(intermediates) == len(tape) - len(held)
+    tape.backward(result.loss_total)
+    alive = sum(ref() is not None for ref in intermediates)
+    assert alive == 0, f"{alive} recorded activations outlive backward"
+    assert all(t.grad is None for t in held)
+
+
+def test_backward_peak_memory_stays_near_the_forward_tape():
+    model, graph, pairs, labels = desk_batch()
+    model.zero_grad()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tape, result = labelled_training_forward(model, graph, pairs, labels)
+        held = tracemalloc.get_traced_memory()[0] - base
+        tracemalloc.reset_peak()
+        tape.backward(result.loss_total)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    ratio = peak / held
+    assert ratio <= 1.3, (f"backward peaks at {ratio:.2f}x the forward's "
+                          f"{held / 2**20:.1f} MiB")

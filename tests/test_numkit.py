@@ -434,6 +434,20 @@ def test_backward_reverse_order_and_reuse():
     assert x.grad[0, 0] == pytest.approx(5.0)  # 2x + 1 at x=2
 
 
+def test_backward_releases_the_tape_and_runs_once():
+    x = nk.parameter([[2.0]])
+    with nk.Tape() as tape:
+        y = nk.mul(x, x)
+        loss = nk.sum_all(nk.add(y, x))
+    assert len(tape) == 3
+    tape.backward(loss)
+    assert len(tape) == 3          # still the number of recorded ops
+    assert y.grad is None and loss.grad is None
+    with pytest.raises(RuntimeError, match="already run backward"):
+        tape.backward(loss)
+    assert x.grad[0, 0] == 5.0     # not accumulated a second time
+
+
 def test_adam_zero_gradient_keeps_params():
     p = nk.parameter([[1.0, -2.0]])
     p.grad = np.zeros_like(p.data)
