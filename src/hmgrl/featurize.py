@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -30,11 +31,19 @@ SMILES_POSITIONS = 100
 assert len(SMILES_VOCAB) == SMILES_CLASSES - 1
 
 _CHAR_INDEX = {ch: i for i, ch in enumerate(SMILES_VOCAB)}
+# class of each code point below 128; code 127 (not in the vocabulary) also
+# stands for every code point above it
+_CLASS_OF_CODE = np.full(128, SMILES_UNKNOWN, dtype=np.uint8)
+_CLASS_OF_CODE[[ord(ch) for ch in SMILES_VOCAB]] = np.arange(len(SMILES_VOCAB))
 
 
 @dataclass
 class DrugTable:
-    """Ordered drug ids with SMILES strings and binary descriptor sequences."""
+    """Ordered drug ids with SMILES strings and binary descriptor sequences.
+
+    A table is not changed after it is built: what is derived from it, such
+    as its similarity graph, is built once and shared by every model on it.
+    """
 
     ids: list[str]
     smiles: list[str]
@@ -51,7 +60,7 @@ class DrugTable:
             mat = np.asarray(getattr(self, name), dtype=np.int64)
             if mat.shape[0] != n:
                 raise ValidationError(f"{name} has {mat.shape[0]} rows for {n} drugs")
-            if not np.isin(mat, (0, 1)).all():
+            if mat.size and (mat.min() < 0 or mat.max() > 1):
                 raise ValidationError(f"{name} must be 0/1")
             setattr(self, name, mat)
         if len(self.smiles) != n:
@@ -60,6 +69,13 @@ class DrugTable:
 
     def __len__(self) -> int:
         return len(self.ids)
+
+    @cached_property
+    def similarity_graph(self):
+        """The DDSGraph of this table's three attribute similarities."""
+        from .graphcore import DDSGraph  # graphcore imports this module
+
+        return DDSGraph.from_table(self)
 
     def lookup(self, drug_id: str, path=None, line=None) -> int:
         """Index of a drug id; (path, line) locate it in the error message."""
@@ -111,6 +127,19 @@ def encode_smiles(s: str) -> np.ndarray:
     return row
 
 
+def encode_smiles_table(smiles) -> np.ndarray:
+    """N x 100 rows of encode_smiles, built in one vectorized pass."""
+    clipped = [s[:SMILES_POSITIONS] for s in smiles]
+    codes = np.frombuffer("".join(clipped).encode("utf-32-le", "surrogatepass"),
+                          dtype="<u4")
+    lengths = np.array([len(s) for s in clipped], dtype=np.intp)
+    rows = np.full((len(clipped), SMILES_POSITIONS), SMILES_EMPTY, dtype=np.uint8)
+    # row-major mask order is the order of the joined characters
+    rows[np.arange(SMILES_POSITIONS) < lengths[:, None]] = \
+        _CLASS_OF_CODE[np.minimum(codes, 127)]
+    return rows
+
+
 def pair_attribute_sequence(a, b) -> np.ndarray:
     """Elementwise sum of two binary sequences (entries 0/1/2); row by row
     when given two K x T blocks."""
@@ -140,19 +169,39 @@ def _format_indices(row: np.ndarray) -> str:
     return ",".join(str(i) for i in np.flatnonzero(row))
 
 
-def _parse_indices(text: str, size: int, path, line_no) -> np.ndarray:
-    row = np.zeros(size, dtype=np.int64)
-    if text:
-        for piece in text.split(","):
-            try:
-                idx = int(piece)
-            except ValueError:
-                raise DataError(f"bad descriptor index {piece!r}", path, line_no) from None
-            if not 0 <= idx < size:
-                raise DataError(f"descriptor index {idx} out of range 0..{size - 1}",
-                                path, line_no)
-            row[idx] = 1
+def _parse_pieces(text: str, row: np.ndarray, path, line_no) -> np.ndarray:
+    """Set row[i] = 1 for each comma-separated piece i, one int() at a time;
+    the first piece that is not an index into row raises."""
+    size = len(row)
+    for piece in text.split(","):
+        try:
+            idx = int(piece)
+        except ValueError:
+            raise DataError(f"bad descriptor index {piece!r}", path, line_no) from None
+        if not 0 <= idx < size:
+            raise DataError(f"descriptor index {idx} out of range 0..{size - 1}",
+                            path, line_no)
+        row[idx] = 1
     return row
+
+
+def _parse_indices(text: str, row: np.ndarray, path, line_no) -> np.ndarray:
+    """Set row[i] = 1 for each index i of a comma-separated descriptor field.
+
+    A field of ASCII digits and commas with no empty piece, whose indices
+    all fall inside row, is parsed in one C call; every other field goes
+    through _parse_pieces, so it alone decides what is accepted and which
+    error is raised.
+    """
+    if not text:
+        return row
+    if (text.isascii() and not text.encode().translate(None, b"0123456789,")
+            and not text.startswith(",") and ",," not in text):
+        idx = np.fromstring(text, dtype=np.int64, sep=",")  # saturates past int64
+        if idx.size == text.count(",") + 1 and idx.max() < len(row):
+            row[idx] = 1
+            return row
+    return _parse_pieces(text, row, path, line_no)
 
 
 def write_drug_table(path, table: DrugTable) -> None:
@@ -182,24 +231,28 @@ def read_drug_table(path) -> DrugTable:
     for piece in parts[1:]:
         key, _, value = piece.partition("=")
         try:
-            sizes[key] = int(value)
+            size = int(value)
         except ValueError:
-            raise DataError(f"bad universe size {piece!r}", path, 1) from None
+            size = -1
+        if size < 0:
+            raise DataError(f"bad universe size {piece!r}", path, 1)
+        sizes[key] = size
     missing = {"targets", "enzymes", "substructures"} - sizes.keys()
     if missing:
         raise DataError(f"header missing sizes for {sorted(missing)}", path, 1)
 
-    ids, smiles, tars, enzs, subs = [], [], [], [], []
-    for line_no, line in lines[1:]:
+    if len(lines) < 2:
+        raise DataError("drug table has no drugs", path)
+    mats = [np.zeros((len(lines) - 1, sizes[kind]), dtype=np.int64)
+            for kind in ("targets", "enzymes", "substructures")]
+    ids, smiles = [], []
+    for i, (line_no, line) in enumerate(lines[1:]):
         fields = line.split("\t")
         if len(fields) != 5:
             raise DataError(f"expected 5 tab-separated fields, got {len(fields)}",
                             path, line_no)
         ids.append(fields[0])
         smiles.append(fields[1])
-        tars.append(_parse_indices(fields[2], sizes["targets"], path, line_no))
-        enzs.append(_parse_indices(fields[3], sizes["enzymes"], path, line_no))
-        subs.append(_parse_indices(fields[4], sizes["substructures"], path, line_no))
-    if not ids:
-        raise DataError("drug table has no drugs", path)
-    return DrugTable(ids, smiles, np.array(tars), np.array(enzs), np.array(subs))
+        for mat, text in zip(mats, fields[2:]):
+            _parse_indices(text, mat[i], path, line_no)
+    return DrugTable(ids, smiles, *mats)

@@ -9,6 +9,7 @@ take one optimizer step on cross-entropy plus the weighted regularizer.
 from __future__ import annotations
 
 import time
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,12 +28,11 @@ from .errors import (
 from .evaluate import Fold
 from .featurize import (
     DrugTable,
-    encode_smiles,
+    encode_smiles_table,
     pair_attribute_sequence,
     read_drug_table,
 )
 from .graphcore import (
-    DDSGraph,
     RelGraph,
     dds_propagate,
     fuse_ragse,
@@ -105,6 +105,25 @@ class _NoDraws:
         return np.broadcast_to(np.float64(0.0), size)
 
 
+class _PairSequences(Mapping):
+    """The batch's pair attribute sequences by descriptor kind. Each K x T
+    block is built when it is read, so a clustering view holds only its own
+    and, without a tape, frees it before the next view runs."""
+
+    def __init__(self, table: DrugTable, us: np.ndarray, vs: np.ndarray):
+        self.table, self.us, self.vs = table, us, vs
+
+    def __getitem__(self, kind: str) -> np.ndarray:
+        mat = getattr(self.table, kind)
+        return pair_attribute_sequence(mat[self.us], mat[self.vs])
+
+    def __iter__(self):
+        return iter(("targets", "enzymes", "substructures"))
+
+    def __len__(self) -> int:
+        return 3
+
+
 class HmgrlModel:
     """All named parameters plus the table-level constant features. The
     parameters are a seeded initialization, or the given named `arrays`
@@ -120,10 +139,10 @@ class HmgrlModel:
         init_rng = np.random.default_rng(seed) if arrays is None else _NoDraws()
 
         # constant table-level features
-        self.dds = DDSGraph.from_table(table)
+        self.dds = table.similarity_graph
         self.initial_features = np.hstack(   # N x 3N
             [self.dds.targets, self.dds.enzymes, self.dds.substructures])
-        self.smiles_index = np.stack([encode_smiles(s) for s in table.smiles])  # N x 100
+        self.smiles_index = encode_smiles_table(table.smiles)  # N x 100
 
         d_in = self.initial_features.shape[1]
         d_embed = config.embed_dim
@@ -278,10 +297,7 @@ class HmgrlModel:
         embeddings = self.drug_embeddings(graph)
         features = self.comprehensive_features(embeddings, us, vs)
 
-        seq_sources = {name: pair_attribute_sequence(mat[us], mat[vs])
-                       for name, mat in (("targets", self.table.targets),
-                                         ("enzymes", self.table.enzymes),
-                                         ("substructures", self.table.substructures))}
+        seq_sources = _PairSequences(self.table, us, vs)
         labels_used = labels
         if training and self.config.mixup and labels is not None:
             if mixup_rng is None:

@@ -54,4 +54,6 @@ def xavier_uniform(rng, fan_in: int, fan_out: int) -> "Tensor":
     import numpy as np
 
     bound = np.sqrt(6.0 / (fan_in + fan_out))
-    return parameter(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
+    # the draw is fresh, so the parameter adopts it instead of copying it
+    return Tensor(rng.uniform(-bound, bound, size=(fan_in, fan_out)),
+                  requires_grad=True)

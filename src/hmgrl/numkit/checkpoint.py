@@ -31,7 +31,7 @@ def save_checkpoint(path, tensors: dict[str, np.ndarray], meta: dict) -> None:
             if a.ndim != 2:
                 raise ParameterError(f"tensor {name!r} is not 2-D")
             fh.write(f"{name}\t{a.shape[0]}\t{a.shape[1]}\n".encode("utf-8"))
-            fh.write(a.tobytes(order="C"))
+            fh.write(a)  # its own C-order buffer, not a bytes copy
 
 
 def _read_line(fh, path) -> bytes:
@@ -88,8 +88,8 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
             nbytes = rows * cols * 8
             if nbytes > size - fh.tell():
                 raise DataError(f"truncated payload for tensor {name!r}", path=path)
-            raw = fh.read(nbytes)
-            tensor = np.frombuffer(raw, dtype="<f8").reshape(rows, cols).copy()
+            tensor = np.empty((rows, cols), dtype="<f8")
+            fh.readinto(tensor)
             if not np.isfinite(tensor).all():
                 raise DataError(f"tensor {name!r} holds a non-finite value", path=path)
             tensors[name] = tensor

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from hmgrl import featurize
 from hmgrl.config import apply_preset
 from hmgrl.errors import DataError, UnknownDrugError, ValidationError
 from hmgrl.featurize import (
@@ -12,11 +15,13 @@ from hmgrl.featurize import (
     DrugTable,
     cosine_similarity_matrix,
     encode_smiles,
+    encode_smiles_table,
     pair_attribute_sequence,
     read_drug_table,
     write_drug_table,
 )
 from hmgrl.model import HmgrlModel
+from hmgrl.synth import SynthSpec, generate
 
 
 def make_table(rng, n=4, t=6, e=5, s=7):
@@ -182,3 +187,86 @@ def test_drug_table_parse_errors_name_line(tmp_path):
     with pytest.raises(DataError) as err:
         read_drug_table(path)
     assert ":3:" in str(err.value)
+
+
+def test_encode_smiles_table_matches_encode_smiles_row_by_row():
+    strings = ["CCO", "", "C?C", "[Na+].[Cl-]", "éΔ\u00a0C", "\x7f\x80N", "😀" * 3,
+               "\ud800C", "C" * 100, "c1ccccc1" * 20, "N" * 99 + "é" * 5]
+    rows = encode_smiles_table(strings)
+    assert rows.dtype == np.uint8
+    assert np.array_equal(rows, np.stack([encode_smiles(s) for s in strings]))
+    assert encode_smiles_table([]).shape == (0, SMILES_POSITIONS)
+
+
+def test_drug_table_binary_check_takes_every_entry():
+    for bad in ([[-1], [0]], [[0], [1.5 + 1]]):
+        with pytest.raises(ValidationError, match="targets must be 0/1"):
+            DrugTable(["a", "b"], ["C", "C"], bad, [[0], [1]], [[1], [1]])
+    empty = DrugTable(["a", "b"], ["C", "C"], np.zeros((2, 0)), [[0], [1]], [[1], [1]])
+    assert empty.targets.shape == (2, 0) and empty.targets.dtype == np.int64
+
+
+def test_negative_universe_size_is_a_header_error(tmp_path):
+    path = tmp_path / "neg.tsv"
+    path.write_text("#universe\ttargets=2\tenzymes=-1\tsubstructures=2\n"
+                    "d1\tCC\t0\t\t1\n")
+    with pytest.raises(DataError, match=r":1: bad universe size 'enzymes=-1'"):
+        read_drug_table(path)
+
+
+def per_piece_row(text, row, *where):
+    """The descriptor field parse done one int() per piece: the reference."""
+    return featurize._parse_pieces(text, row, *where) if text else row
+
+
+def parse_outcome(parse, text, size):
+    try:
+        return parse(text, np.zeros(size, dtype=np.int64), "d.tsv", 7).tobytes()
+    except DataError as err:
+        return str(err)
+
+
+FIELD_PIECES = st.one_of(st.sampled_from(list("0123456789,+- _.٣") + [",", ","]),
+                         st.text("0123456789", min_size=20, max_size=24))
+
+
+@settings(max_examples=400, deadline=None)
+@example(text="1,", size=5)
+@example(text=",1", size=5)
+@example(text="1,,2", size=5)
+@example(text="1,+,2", size=5)
+@example(text="3,1_0,-1", size=20)
+@example(text="٣", size=5)
+@example(text="2," + "9" * 20 + ",x", size=5)
+@example(text="00000000000000000000004", size=5)
+@given(text=st.lists(FIELD_PIECES, max_size=12).map("".join),
+       size=st.sampled_from([0, 1, 3, 10, 1000]))
+def test_parse_indices_agrees_with_the_per_piece_parse(text, size):
+    fast = parse_outcome(featurize._parse_indices, text, size)
+    assert fast == parse_outcome(per_piece_row, text, size)
+
+
+def test_parse_indices_fast_path_on_well_formed_fields(monkeypatch):
+    def no_pieces(*args):
+        raise AssertionError("a well-formed field went through the per-piece parse")
+
+    monkeypatch.setattr(featurize, "_parse_pieces", no_pieces)
+    row = featurize._parse_indices("007,3,3,0", np.zeros(8, dtype=np.int64), "d.tsv", 1)
+    assert row.tolist() == [1, 0, 0, 1, 0, 0, 0, 1]
+
+
+def test_graph_shape_table_never_takes_the_per_piece_parse(tmp_path, monkeypatch):
+    table, _ = generate(SynthSpec(seed=3, n_drugs=572, n_events=65, targets_size=1162,
+                                  enzymes_size=202, substructures_size=881,
+                                  density=0.05, n_classes=12))
+    path = tmp_path / "drugs.tsv"
+    write_drug_table(path, table)
+    calls, per_piece = [], featurize._parse_pieces
+    monkeypatch.setattr(featurize, "_parse_pieces",
+                        lambda *args: calls.append(args) or per_piece(*args))
+    loaded = read_drug_table(path)
+    assert calls == []
+    for name in ("targets", "enzymes", "substructures"):
+        mine, theirs = getattr(loaded, name), getattr(table, name)
+        assert mine.dtype == theirs.dtype and mine.shape == theirs.shape
+        assert mine.tobytes() == theirs.tobytes(), name

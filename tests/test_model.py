@@ -1,10 +1,13 @@
 import gc
+import hashlib
 import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 
+from hmgrl import featurize
+from hmgrl import model as model_module
 from hmgrl import numkit as nk
 from hmgrl.config import apply_preset
 from hmgrl.errors import BatchSizeError, ShapeError, ValidationError
@@ -248,6 +251,31 @@ def test_unlabelled_predict_never_holds_a_k_by_k_matrix():
     assert peak < k * k * 8, f"traced peak {peak / 2**20:.1f} MiB"
 
 
+def test_unlabelled_predict_holds_one_pair_sequence_block_at_a_time(monkeypatch):
+    data, model, graph = untrained_micro_model()
+    pairs = random_pairs(np.random.default_rng(8), data.n_drugs, 50)
+    expected = {name: featurize.pair_attribute_sequence(mat[pairs[:, 0]], mat[pairs[:, 1]])
+                for name, mat in (("targets", data.table.targets),
+                                  ("enzymes", data.table.enzymes),
+                                  ("substructures", data.table.substructures))}
+    built = []
+    sequence = model_module.pair_attribute_sequence
+
+    def spy(a, b):
+        assert all(ref() is None for ref in built), "an earlier block is still held"
+        block = sequence(a, b)
+        built.append(weakref.ref(block))
+        seen.append(block.copy())
+        return block
+
+    seen = []
+    monkeypatch.setattr(model_module, "pair_attribute_sequence", spy)
+    predict(model, graph, pairs)
+    assert len(seen) == 3
+    for block, name in zip(seen, ("targets", "enzymes", "substructures")):
+        assert np.array_equal(block, expected[name]), name
+
+
 def test_train_record_total_is_affine_combination():
     data = micro_dataset()
     cfg = micro_config(epochs=2, batch_size=8)
@@ -338,6 +366,34 @@ def test_load_model_draws_no_initialization(tmp_path, monkeypatch):
     assert list(loaded.params) == list(model.params)
     for name, p in model.params.items():
         assert np.array_equal(loaded.params[name].data, p.data), name
+
+
+def test_models_on_one_table_share_its_similarity_graph(tmp_path, monkeypatch):
+    data = micro_dataset()
+    calls = []
+    cosine = featurize.cosine_similarity_matrix
+    monkeypatch.setattr(featurize, "cosine_similarity_matrix",
+                        lambda m: calls.append(1) or cosine(m))
+    path = tmp_path / "m.ckpt"
+    save_model(path, HmgrlModel(micro_config(), data.table, data.n_relations, seed=4))
+    assert len(calls) == 3   # one per descriptor kind
+    first, _ = load_model(path, data.table)
+    second, _ = load_model(path, data.table)
+    assert len(calls) == 3 and first.dds is second.dds
+    graph = RelGraph.from_triples(data.n_drugs, data.n_relations, data.triples)
+    pairs = random_pairs(np.random.default_rng(2), data.n_drugs, 20)
+    assert np.array_equal(predict(first, graph, pairs)[1], predict(second, graph, pairs)[1])
+
+
+def test_seeded_checkpoint_bytes_are_pinned(tmp_path):
+    """A seeded initialization and its checkpoint bytes never change silently."""
+    data = micro_dataset()
+    path = tmp_path / "m.ckpt"
+    save_model(path, HmgrlModel(micro_config(), data.table, data.n_relations, seed=5))
+    payload = path.read_bytes()
+    assert len(payload) == 104708
+    assert hashlib.sha256(payload).hexdigest() == (
+        "1fb41edb94e8ff0d794c23facdd81490bb3bb7eae462741dab4e2c99ddc9d8ae")
 
 
 def test_loss_ce_shape_mismatch():
