@@ -142,12 +142,13 @@ def encode_smiles_table(smiles) -> np.ndarray:
 
 def pair_attribute_sequence(a, b) -> np.ndarray:
     """Elementwise sum of two binary sequences (entries 0/1/2); row by row
-    when given two K x T blocks."""
+    when given two K x T blocks. The sum is float64, exact for these
+    entries, so a model input needs no second copy."""
     a = np.asarray(a, dtype=np.int64)
     b = np.asarray(b, dtype=np.int64)
     if a.shape != b.shape:
         raise ValidationError(f"sequence lengths differ: {a.shape} vs {b.shape}")
-    return a + b
+    return np.add(a, b, dtype=np.float64)
 
 
 # ------------------------------------------------------------------ file I/O

@@ -151,7 +151,9 @@ def rgcn_forward(graph: RelGraph, x, rel_weights, self_weight) -> nk.Tensor:
     + x_v W_self). Each relation transforms only its active drugs and
     scatters the messages along its edges, so the work scales with the
     (drug, relation) pairs that have an edge, not with R * N^2. Nodes in
-    no relation (R_v = 0) keep only the self term.
+    no relation (R_v = 0) keep only the self term. The relation sum is one
+    tape record (nk.relation_sum), which keeps indices and edge weights
+    and gathers the rows again in backward.
     """
     x = nk.as_tensor(x)
     if len(rel_weights) != graph.n_relations:
@@ -159,16 +161,9 @@ def rgcn_forward(graph: RelGraph, x, rel_weights, self_weight) -> nk.Tensor:
     if x.shape[0] != graph.n_drugs:
         raise ShapeError(f"features have {x.shape[0]} rows for {graph.n_drugs} drugs")
 
-    total = None
-    for r in range(graph.n_relations):
-        sources, dst, local, weights = graph.relation_edges(r)
-        if dst.size == 0:
-            continue  # empty relation contributes nothing
-        messages = nk.matmul(nk.gather_rows(x, sources), rel_weights[r])
-        term = nk.spmm(dst, local, weights, graph.n_drugs, messages)
-        total = term if total is None else nk.add(total, term)
-    self_term = nk.matmul(x, self_weight)
-    return nk.relu(self_term if total is None else nk.add(total, self_term))
+    relations = [graph.relation_edges(r) for r in range(graph.n_relations)]
+    total = nk.relation_sum(x, rel_weights, relations, graph.n_drugs)
+    return nk.relu(nk.add(total, nk.matmul(x, self_weight)))
 
 
 def dds_propagate(dds: DDSGraph, embeddings, hops: int):

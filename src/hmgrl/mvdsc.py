@@ -164,10 +164,12 @@ def mvdsc_forward(features, sequence_sources: dict, views: dict,
     reg_total = None
     for kind in VIEW_ORDER:
         view = views[kind]
-        source = features if kind == "comprehensive" else nk.constant(
-            sequence_sources[kind])
-        output, assignments, adjacencies = view_forward(view, source, features,
-                                                        keep_adjacencies=regularize)
+        # no name outlives the call, so without a tape a view's source is
+        # freed before the next view builds its own
+        output, assignments, adjacencies = view_forward(
+            view, features if kind == "comprehensive"
+            else nk.constant(sequence_sources[kind]),
+            features, keep_adjacencies=regularize)
         outputs.append(output)
         if not regularize:
             continue

@@ -24,13 +24,13 @@ from .ops import (
     matmul,
     mul,
     mul_rowvec,
+    relation_sum,
     relu,
     reshape,
     scale,
     slice_cols,
     softmax_gram_matmul,
     softmax_rows,
-    spmm,
     sub,
     sum_all,
     transpose,
@@ -43,9 +43,9 @@ __all__ = [
     "concat_cols", "constant", "conv1d_bank", "conv1d_onehot",
     "div", "dropout", "frobenius_norm", "gather_rows", "global_max_pool",
     "layer_norm_rows", "load_checkpoint", "log_clamped", "matmul", "mul",
-    "mul_rowvec", "no_grad", "parameter", "relu", "reshape", "save_checkpoint",
-    "scale", "slice_cols", "softmax_gram_matmul", "softmax_rows", "spmm", "sub",
-    "sum_all", "transpose",
+    "mul_rowvec", "no_grad", "parameter", "relation_sum", "relu", "reshape",
+    "save_checkpoint", "scale", "slice_cols", "softmax_gram_matmul",
+    "softmax_rows", "sub", "sum_all", "transpose",
 ]
 
 

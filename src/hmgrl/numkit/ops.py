@@ -308,27 +308,60 @@ def gather_rows(a, index) -> Tensor:
     return make_output(a.data[idx], (a,), backward)
 
 
-def spmm(rows, cols, vals, n_rows: int, a) -> Tensor:
-    """S @ a for the sparse n_rows x a.rows matrix S given in COO form:
-    S[rows[k], cols[k]] = vals[k], duplicate entries adding up.
-
-    The backward scatter-adds S^T g into a's gradient.
-    """
-    a = as_tensor(a)
-    rows = np.asarray(rows, dtype=np.intp)
-    cols = np.asarray(cols, dtype=np.intp)
-    vals = np.asarray(vals, dtype=np.float64)
-    if not (rows.ndim == cols.ndim == vals.ndim == 1
+def _relation_entries(relation, n_rows: int, n_x: int):
+    """(sources, rows, cols, vals) of one relation as checked index and
+    weight vectors; see relation_sum."""
+    sources, rows, cols = (np.asarray(v, dtype=np.intp) for v in relation[:3])
+    vals = np.asarray(relation[3], dtype=np.float64)
+    if not (sources.ndim == rows.ndim == cols.ndim == vals.ndim == 1
             and rows.size == cols.size == vals.size):
-        raise ShapeError("spmm: rows, cols and vals must be vectors of one length")
-    if rows.size and (rows.min() < 0 or rows.max() >= n_rows
-                      or cols.min() < 0 or cols.max() >= a.shape[0]):
-        raise ShapeError(f"spmm: an entry lies outside {n_rows} x {a.shape[0]}")
+        raise ShapeError("relation_sum: sources, rows, cols and vals must be "
+                         "vectors, the last three of one length")
+    if rows.size and (rows.min() < 0 or rows.max() >= n_rows or cols.min() < 0
+                      or cols.max() >= sources.size or sources.min() < 0
+                      or sources.max() >= n_x):
+        raise ShapeError(f"relation_sum: an entry lies outside {n_rows} x "
+                         f"{sources.size} sources of {n_x} rows")
+    return sources, rows, cols, vals
+
+
+def relation_sum(x, weights, relations, n_rows: int) -> Tensor:
+    """sum_r S_r @ (x[sources_r] @ W_r), one term per relation with an edge.
+
+    Relation r is (sources_r, rows_r, cols_r, vals_r): S_r is the sparse
+    n_rows x |sources_r| matrix with S_r[rows[k], cols[k]] = vals[k],
+    duplicate entries adding up. The tape keeps only x, the weights and
+    these vectors: the backward walks the relations in reverse, gathers
+    x[sources_r] again for dW_r and scatters S_r^T g @ W_r^T into x, so no
+    gathered rows, messages or partial sums outlive the forward.
+    """
+    x = as_tensor(x)
+    weights = [as_tensor(w) for w in weights]
+    if len(weights) != len(relations):
+        raise ShapeError(f"relation_sum: {len(weights)} weights for "
+                         f"{len(relations)} relations")
+    width = weights[0].shape[1] if weights else 0
+    for w in weights:
+        if w.shape != (x.shape[1], width):
+            raise ShapeError(f"relation_sum: weight {w.shape} against x {x.shape}")
+    terms = [(w, _relation_entries(rel, n_rows, x.shape[0]))
+             for w, rel in zip(weights, relations)]
+    terms = [(w, entries) for w, entries in terms if entries[1].size]
+    x_data = x.data
+    total = np.zeros((n_rows, width))   # a bincount sum is never -0.0: 0 + t is t
+    for w, (sources, rows, cols, vals) in terms:
+        total += _scatter_rows(rows, cols, vals, n_rows, x_data[sources] @ w.data)
 
     def backward(g):
-        a.accumulate(_scatter_rows(cols, rows, vals, a.shape[0], g))
+        for w, (sources, rows, cols, vals) in reversed(terms):
+            d_messages = _scatter_rows(cols, rows, vals, sources.size, g)
+            if x.requires_grad:
+                x.accumulate(_scatter_rows(sources, None, None, x.shape[0],
+                                           d_messages @ w.data.T))
+            if w.requires_grad:
+                w.accumulate(x_data[sources].T @ d_messages)
 
-    return make_output(_scatter_rows(rows, cols, vals, n_rows, a.data), (a,), backward)
+    return make_output(total, (x, *weights), backward)
 
 
 def _scatter_rows(target, source, vals, n: int, m: np.ndarray) -> np.ndarray:

@@ -180,27 +180,40 @@ def test_gather_rows_gradient_accumulates_duplicates():
     assert np.array_equal(x.grad, [[2.0, 2.0], [1.0, 1.0]])
 
 
-def test_spmm_matches_dense_product_and_finite_differences():
+def test_relation_sum_matches_dense_product_and_finite_differences():
     rng = np.random.default_rng(12)
-    rows = np.array([0, 4, 4, 2, 0, 4])       # row 1 and row 3 stay empty
-    cols = np.array([1, 0, 2, 2, 1, 1])       # (0, 1) appears twice and adds up
-    vals = rng.normal(size=6)
-    dense = np.zeros((5, 3))
-    np.add.at(dense, (rows, cols), vals)
-    a = nk.parameter(rng.normal(size=(3, 4)))
-    out = nk.spmm(rows, cols, vals, 5, a)
-    assert np.allclose(out.data, dense @ a.data, atol=1e-15)
-    w = rng.normal(size=(5, 4))
-    fd_check(lambda: nk.sum_all(nk.mul(nk.spmm(rows, cols, vals, 5, a),
-                                       nk.constant(w))), [a], rel_tol=1e-6)
-    empty = nk.spmm(np.array([], int), np.array([], int), np.array([]), 5, a)
-    assert np.array_equal(empty.data, np.zeros((5, 4)))
-    with pytest.raises(ShapeError):
-        nk.spmm(rows, cols, vals, 4, a)
-    with pytest.raises(ShapeError):
-        nk.spmm(rows, cols + 1, vals, 5, a)
-    with pytest.raises(ShapeError):
-        nk.spmm(rows, cols, vals[:5], 5, a)
+    x = nk.parameter(rng.normal(size=(4, 3)))
+    weights = [nk.parameter(rng.normal(size=(3, 2))) for _ in range(3)]
+    relations = [
+        # rows 1 and 3 stay empty; (0, 1) appears twice and adds up
+        (np.array([0, 2, 3]), np.array([0, 4, 4, 2, 0, 4]),
+         np.array([1, 0, 2, 2, 1, 1]), rng.normal(size=6)),
+        (np.array([], int), np.array([], int), np.array([], int), np.array([])),
+        (np.array([1]), np.array([3, 0]), np.array([0, 0]), rng.normal(size=2)),
+    ]
+    dense = np.zeros((5, 2))
+    for w, (sources, rows, cols, vals) in zip(weights, relations):
+        s = np.zeros((5, 4))
+        np.add.at(s, (rows, sources[cols]), vals)
+        dense += s @ x.data @ w.data
+    out = nk.relation_sum(x, weights, relations, 5)
+    assert np.allclose(out.data, dense, atol=1e-15)
+    target = nk.constant(rng.normal(size=(5, 2)))
+    fd_check(lambda: nk.sum_all(nk.mul(nk.relation_sum(x, weights, relations, 5),
+                                       target)), [x] + weights, rel_tol=1e-6)
+    empty = nk.relation_sum(x, weights[1:2], relations[1:2], 5)
+    assert np.array_equal(empty.data, np.zeros((5, 2)))
+    sources, rows, cols, vals = relations[0]
+    bad = [(sources, rows, cols, vals), (sources, rows, cols + 1, vals),
+           (sources + 1, rows, cols, vals), (sources, rows, cols, vals[:5])]
+    for n_rows, relation in zip((4, 5, 5, 5), bad):
+        with pytest.raises(ShapeError, match="relation_sum"):
+            nk.relation_sum(x, weights[:1], [relation], n_rows)
+    with pytest.raises(ShapeError, match="relation_sum"):
+        nk.relation_sum(x, weights, relations[:2], 5)
+    with pytest.raises(ShapeError, match="relation_sum"):
+        nk.relation_sum(x, [weights[0], nk.parameter(np.ones((3, 4)))],
+                        relations[:2], 5)
 
 
 class _CountingArray(np.ndarray):

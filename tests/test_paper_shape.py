@@ -11,7 +11,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-PEAK_RSS_BOUND_MB = 4000
+PEAK_RSS_BOUND_MB = 3200
 PREDICT_PAIRS = 128
 
 CHILD = f"""
