@@ -51,8 +51,6 @@ class RunConfig:
     token_count: int = 4
     token_dim: int = 64
     attn_heads: int = 4
-    ffn_enabled: bool = True
-    positional_tokens: bool = False  # learned per-token offsets before attention
     dsc_proj_dim: int = 0        # 0 = attention_dim
     decoder_hidden: int = 256
 
@@ -76,6 +74,9 @@ class RunConfig:
         for name in _COUNT_FIELDS:
             if getattr(self, name) < 1:
                 raise ParameterError(f"{name} must be >= 1, got {getattr(self, name)!r}")
+        if self.token_dim % self.attn_heads:
+            raise ParameterError(f"attn_heads ({self.attn_heads}) must divide "
+                                 f"token_dim ({self.token_dim})")
         for name in ("propagation_hops", "dsc_proj_dim"):
             if getattr(self, name) < 0:
                 raise ParameterError(f"{name} must be >= 0, got {getattr(self, name)!r}")
@@ -110,6 +111,11 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
+        data = dict(data)
+        for key, value in _RETIRED.items():
+            if key in data and data.pop(key) is not value:
+                raise ParameterError(f"config key {key!r} is retired; a stored config "
+                                     f"may only hold {value!r}")
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = set(data) - known
         if unknown:
@@ -123,6 +129,11 @@ class RunConfig:
     def replace(self, **kwargs) -> "RunConfig":
         return dataclasses.replace(self, **kwargs)
 
+
+# Retired keys and the one value a stored config may hold for each: the
+# behaviour that value chose is now the only one. Configs and checkpoints
+# written before the keys were removed still carry them.
+_RETIRED = {"ffn_enabled": True, "positional_tokens": False}
 
 # dimension and count fields, each at least 1 (batch_size has its own floor)
 _COUNT_FIELDS = ("epochs", "embed_dim", "attention_dim", "embedding_encoder_dim",

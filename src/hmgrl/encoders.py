@@ -99,7 +99,8 @@ class CnnBlock:
 
 @dataclass
 class EncoderBlock:
-    """FC into tokens, multi-head self-attention block, linear head."""
+    """FC into tokens, multi-head self-attention block, feed-forward block,
+    linear head."""
 
     prefix: str
     in_dim: int
@@ -107,18 +108,14 @@ class EncoderBlock:
     token_dim: int
     n_heads: int
     out_dim: int
-    ffn_enabled: bool
     params: dict
-    positional: bool = False
 
     @classmethod
     def build(cls, rng, prefix: str, in_dim: int, out_dim: int,
-              token_count: int = 4, token_dim: int = 64, n_heads: int = 4,
-              ffn_enabled: bool = True, ffn_mult: int = 2,
-              positional: bool = False) -> "EncoderBlock":
-        if token_dim % n_heads:
-            raise ParameterError(f"head count {n_heads} must divide token dim {token_dim}")
+              token_count: int = 4, token_dim: int = 64,
+              n_heads: int = 4) -> "EncoderBlock":
         width = token_count * token_dim
+        hidden = 2 * token_dim
         params = {
             f"{prefix}.fc.w": nk.xavier_uniform(rng, in_dim, width),
             f"{prefix}.fc.b": nk.parameter(np.zeros((1, width))),
@@ -130,17 +127,12 @@ class EncoderBlock:
             f"{prefix}.norm.b": nk.parameter(np.zeros((1, token_dim))),
             f"{prefix}.proj.w": nk.xavier_uniform(rng, width, out_dim),
             f"{prefix}.proj.b": nk.parameter(np.zeros((1, out_dim))),
+            f"{prefix}.ffn.w1": nk.xavier_uniform(rng, token_dim, hidden),
+            f"{prefix}.ffn.b1": nk.parameter(np.zeros((1, hidden))),
+            f"{prefix}.ffn.w2": nk.xavier_uniform(rng, hidden, token_dim),
+            f"{prefix}.ffn.b2": nk.parameter(np.zeros((1, token_dim))),
         }
-        if ffn_enabled:
-            hidden = ffn_mult * token_dim
-            params[f"{prefix}.ffn.w1"] = nk.xavier_uniform(rng, token_dim, hidden)
-            params[f"{prefix}.ffn.b1"] = nk.parameter(np.zeros((1, hidden)))
-            params[f"{prefix}.ffn.w2"] = nk.xavier_uniform(rng, hidden, token_dim)
-            params[f"{prefix}.ffn.b2"] = nk.parameter(np.zeros((1, token_dim)))
-        if positional:
-            params[f"{prefix}.pos"] = nk.parameter(np.zeros((1, width)))
-        return cls(prefix, in_dim, token_count, token_dim, n_heads, out_dim,
-                   ffn_enabled, params, positional)
+        return cls(prefix, in_dim, token_count, token_dim, n_heads, out_dim, params)
 
     def _attend(self, tokens: nk.Tensor) -> nk.Tensor:
         """Multi-head self-attention over each pair's token block.
@@ -149,19 +141,9 @@ class EncoderBlock:
         belong to one pair and never attend across pairs.
         """
         p = self.params
-        q = nk.matmul(tokens, p[f"{self.prefix}.attn.q"])
-        k = nk.matmul(tokens, p[f"{self.prefix}.attn.k"])
-        v = nk.matmul(tokens, p[f"{self.prefix}.attn.v"])
-        head_dim = self.token_dim // self.n_heads
-        heads = []
-        for h in range(self.n_heads):
-            lo, hi = h * head_dim, (h + 1) * head_dim
-            scores = nk.block_matmul(nk.slice_cols(q, lo, hi), nk.slice_cols(k, lo, hi),
-                                     self.token_count, transpose_b=True)
-            weights = nk.softmax_rows(nk.scale(scores, 1.0 / np.sqrt(head_dim)))
-            heads.append(nk.block_matmul(weights, nk.slice_cols(v, lo, hi),
-                                         self.token_count))
-        return nk.matmul(nk.concat_cols(heads), p[f"{self.prefix}.attn.o"])
+        q, k, v = (nk.matmul(tokens, p[f"{self.prefix}.attn.{name}"]) for name in "qkv")
+        heads = nk.token_attention(q, k, v, self.token_count, self.n_heads)
+        return nk.matmul(heads, p[f"{self.prefix}.attn.o"])
 
     def forward(self, pair_rows) -> nk.Tensor:
         """pair_rows: K x in_dim (the two drugs' features side by side)."""
@@ -172,20 +154,16 @@ class EncoderBlock:
         batch = x.shape[0]
         width = self.token_count * self.token_dim
         fc = nk.add_rowvec(nk.matmul(x, p[f"{self.prefix}.fc.w"]), p[f"{self.prefix}.fc.b"])
-        if self.positional:
-            fc = nk.add_rowvec(fc, p[f"{self.prefix}.pos"])
         tokens = nk.reshape(fc, batch * self.token_count, self.token_dim)
         attended = nk.add(tokens, self._attend(tokens))
         normed = nk.add_rowvec(
             nk.mul_rowvec(nk.layer_norm_rows(attended), p[f"{self.prefix}.norm.g"]),
             p[f"{self.prefix}.norm.b"])
-        if self.ffn_enabled:
-            hidden = nk.relu(nk.add_rowvec(nk.matmul(normed, p[f"{self.prefix}.ffn.w1"]),
-                                           p[f"{self.prefix}.ffn.b1"]))
-            ffn = nk.add_rowvec(nk.matmul(hidden, p[f"{self.prefix}.ffn.w2"]),
-                                p[f"{self.prefix}.ffn.b2"])
-            normed = nk.add(normed, ffn)
-        flat = nk.reshape(normed, batch, width)
+        hidden = nk.relu(nk.add_rowvec(nk.matmul(normed, p[f"{self.prefix}.ffn.w1"]),
+                                       p[f"{self.prefix}.ffn.b1"]))
+        ffn = nk.add_rowvec(nk.matmul(hidden, p[f"{self.prefix}.ffn.w2"]),
+                            p[f"{self.prefix}.ffn.b2"])
+        flat = nk.reshape(nk.add(normed, ffn), batch, width)
         return nk.add_rowvec(nk.matmul(flat, p[f"{self.prefix}.proj.w"]),
                              p[f"{self.prefix}.proj.b"])
 

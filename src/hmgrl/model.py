@@ -172,8 +172,7 @@ class HmgrlModel:
         self.params.update(self.cnn.params)
 
         enc_kw = dict(token_count=config.token_count, token_dim=config.token_dim,
-                      n_heads=config.attn_heads, ffn_enabled=config.ffn_enabled,
-                      positional=config.positional_tokens)
+                      n_heads=config.attn_heads)
         self.enc_embedding = EncoderBlock.build(init_rng, "enc_emb",
                                                 in_dim=2 * d_embed,
                                                 out_dim=d_emb_out, **enc_kw)

@@ -10,7 +10,6 @@ from .optim import OptimizerState, adam_step
 from .ops import (
     add,
     add_rowvec,
-    block_matmul,
     concat_cols,
     conv1d_bank,
     conv1d_onehot,
@@ -28,24 +27,24 @@ from .ops import (
     relu,
     reshape,
     scale,
-    slice_cols,
     softmax_gram_matmul,
     softmax_rows,
     sub,
     sum_all,
+    token_attention,
     transpose,
 )
 from .tensor import Tape, Tensor, as_tensor, constant, no_grad, parameter
 
 __all__ = [
     "MAGIC", "OptimizerState", "Tape", "Tensor",
-    "adam_step", "add", "add_rowvec", "as_tensor", "block_matmul",
-    "concat_cols", "constant", "conv1d_bank", "conv1d_onehot",
+    "adam_step", "add", "add_rowvec", "as_tensor", "concat_cols",
+    "constant", "conv1d_bank", "conv1d_onehot",
     "div", "dropout", "frobenius_norm", "gather_rows", "global_max_pool",
     "layer_norm_rows", "load_checkpoint", "log_clamped", "matmul", "mul",
     "mul_rowvec", "no_grad", "parameter", "relation_sum", "relu", "reshape",
-    "save_checkpoint", "scale", "slice_cols", "softmax_gram_matmul",
-    "softmax_rows", "sub", "sum_all", "transpose",
+    "save_checkpoint", "scale", "softmax_gram_matmul", "softmax_rows",
+    "sub", "sum_all", "token_attention", "transpose",
 ]
 
 

@@ -280,20 +280,6 @@ def concat_cols(tensors) -> Tensor:
     return make_output(np.hstack([t.data for t in tensors]), tuple(tensors), backward)
 
 
-def slice_cols(a, lo: int, hi: int) -> Tensor:
-    a = as_tensor(a)
-    if not 0 <= lo < hi <= a.shape[1]:
-        raise ShapeError(f"slice_cols: [{lo}:{hi}] out of {a.shape}")
-
-    def backward(g):
-        if a.requires_grad:
-            buf = np.zeros_like(a.data)
-            buf[:, lo:hi] = g
-            a.accumulate(buf)
-
-    return make_output(a.data[:, lo:hi].copy(), (a,), backward)
-
-
 def gather_rows(a, index) -> Tensor:
     """Select rows by integer index (duplicates allowed)."""
     a = as_tensor(a)
@@ -400,43 +386,59 @@ def frobenius_norm(a) -> Tensor:
     return make_output(np.array([[norm]]), (a,), backward)
 
 
-# ------------------------------------------------- block (per-group) matmuls
+# ----------------------------------------------------------------- attention
 
-def block_matmul(a, b, block: int, transpose_b: bool = False) -> Tensor:
-    """Per-group matmul over row blocks of size `block`.
+def token_attention(q, k, v, token_count: int, n_heads: int) -> Tensor:
+    """Multi-head self-attention inside each block of token_count rows.
 
-    Both operands are (G*block) x *; group g of the output is
-    A_g @ B_g^T (transpose_b) or A_g @ B_g. Used for attention scores and
-    their application, where groups never mix.
+    q, k and v are (K*token_count) x D with D = n_heads * head_dim, seen as
+    free (K, heads, tokens, head_dim) views: each block's head h is
+    W v with W = softmax(q k^T / sqrt(head_dim)), and the heads merge back so
+    head h fills columns h*head_dim:(h+1)*head_dim. Blocks never mix. The
+    scores are scaled after the product, then softmaxed as softmax_rows does
+    it, so each head's bits are those of slicing it out and attending alone.
+    The tape keeps q, k, v and W: dV = W^T g, dS = W * (g v^T - rowsum(g v^T
+    * W)) / sqrt(head_dim), dQ = dS k and dK = dS^T q.
     """
-    a, b = as_tensor(a), as_tensor(b)
-    if a.shape[0] % block or b.shape[0] % block or a.shape[0] != b.shape[0]:
-        raise ShapeError(f"block_matmul: rows {a.shape[0]}/{b.shape[0]} vs block {block}")
-    groups = a.shape[0] // block
-    a3 = a.data.reshape(groups, block, a.shape[1])
-    b3 = b.data.reshape(groups, block, b.shape[1])
-    if transpose_b:
-        if a.shape[1] != b.shape[1]:
-            raise ShapeError("block_matmul(T): feature dims differ")
-        out3 = a3 @ b3.transpose(0, 2, 1)
-    else:
-        if a.shape[1] != block:
-            raise ShapeError("block_matmul: A blocks must be square against B blocks")
-        out3 = a3 @ b3
+    q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
+    _check_same_shape(q, k, "token_attention")
+    _check_same_shape(q, v, "token_attention")
+    rows, width = q.shape
+    if token_count < 1 or rows % token_count:
+        raise ShapeError(f"token_attention: {rows} rows are not blocks of {token_count}")
+    if n_heads < 1 or width % n_heads:
+        raise ShapeError(f"token_attention: {n_heads} heads do not divide width {width}")
+    split = (rows // token_count, token_count, n_heads, width // n_heads)
+
+    def heads(a):
+        return a.reshape(split).transpose(0, 2, 1, 3)
+
+    def merge(a):
+        return a.transpose(0, 2, 1, 3).reshape(rows, width)
+
+    q4, k4, v4 = heads(q.data), heads(k.data), heads(v.data)
+    s = float(1.0 / np.sqrt(split[3]))
+    w = q4 @ k4.transpose(0, 1, 3, 2)
+    w *= s
+    w -= w.max(axis=3, keepdims=True)
+    np.exp(w, out=w)
+    w /= w.sum(axis=3, keepdims=True)
 
     def backward(g):
-        g3 = g.reshape(groups, block, -1)
-        if a.requires_grad:
-            da = g3 @ (b3 if transpose_b else b3.transpose(0, 2, 1))
-            a.accumulate(da.reshape(a.shape))
-        if b.requires_grad:
-            if transpose_b:
-                db = g3.transpose(0, 2, 1) @ a3
-            else:
-                db = a3.transpose(0, 2, 1) @ g3
-            b.accumulate(db.reshape(b.shape))
+        g4 = heads(g)
+        if v.requires_grad:
+            v.accumulate(merge(w.transpose(0, 1, 3, 2) @ g4))
+        if q.requires_grad or k.requires_grad:
+            ds = g4 @ v4.transpose(0, 1, 3, 2)
+            ds -= (ds * w).sum(axis=3, keepdims=True)
+            ds *= w
+            ds *= s
+            if q.requires_grad:
+                q.accumulate(merge(ds @ k4))
+            if k.requires_grad:
+                k.accumulate(merge(ds.transpose(0, 1, 3, 2) @ q4))
 
-    return make_output(out3.reshape(a.shape[0], -1), (a, b), backward)
+    return make_output(merge(w @ v4), (q, k, v), backward)
 
 
 # ------------------------------------------------------------- normalization

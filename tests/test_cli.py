@@ -213,9 +213,12 @@ def test_malformed_data_line_names_file_and_line(synth_dir, tmp_path, capsys,
     (b'{"mixup": 1}', "'mixup' must be of type bool"),
     (b'{"cnn_kernels": [3, "5"]}', "'cnn_kernels' must be of type tuple"),
     (b'{"no_such_key": 1}', "unknown config keys"),
+    (b'{"ffn_enabled": false}', "'ffn_enabled' is retired"),
+    (b'{"positional_tokens": true}', "'positional_tokens' is retired"),
     (None, "No such file or directory"),   # None: the file does not exist
 ], ids=["not-json", "not-object", "not-utf8", "int-field", "float-field",
-        "bool-field", "tuple-field", "unknown-key", "missing"])
+        "bool-field", "tuple-field", "unknown-key", "retired-ffn-off",
+        "retired-positional-on", "missing"])
 def test_bad_config_file_is_usage_error_naming_it(synth_dir, tmp_path, capsys,
                                                   text, message):
     cfg = tmp_path / "cfg.json"
@@ -246,6 +249,7 @@ OUT_OF_DOMAIN = [
     (["--token-count", 0], "token_count"),
     (["--token-dim", 0], "token_dim"),
     (["--attn-heads", 0], "attn_heads"),
+    (["--attn-heads", 3], "attn_heads"),   # does not divide micro's token_dim 8
     (["--decoder-hidden", 0], "decoder_hidden"),
     (["--dsc-proj-dim", -1], "dsc_proj_dim"),
     (["--propagation-hops", -1], "propagation_hops"),
@@ -318,6 +322,77 @@ def test_config_file_roundtrip(tmp_path):
     path = tmp_path / "cfg.json"
     save_config(path, cfg)
     assert load_config(path) == cfg
+
+
+def test_stored_config_with_retired_keys_loads(tmp_path):
+    from hmgrl.config import RunConfig, apply_preset, load_config
+
+    cfg = apply_preset("small").replace(seed=3)
+    stored = {**cfg.as_dict(), "ffn_enabled": True, "positional_tokens": False}
+    assert RunConfig.from_dict(stored) == cfg
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(stored))
+    assert load_config(path) == cfg
+
+
+# Fields no other test shows to matter, each with an in-domain change from
+# the micro preset and the flags it is read under (mixup_alpha only with
+# mixup on). Each change must alter the parameter set, the predictions, the
+# first training loss or the eval report.
+KNOBS = [
+    (["--attn-heads", 1], []),
+    (["--token-count", 3], []),
+    (["--token-dim", 4], []),
+    (["--rgcn-depth", 2], []),
+    (["--dsc-proj-dim", 2], []),
+    (["--decoder-hidden", 12], []),
+    (["--mixup-alpha", 0.4], ["--mixup"]),
+    (["--macro-auc"], []),
+]
+
+
+@pytest.fixture(scope="module")
+def micro_run_outputs(synth_dir, tmp_path_factory):
+    """flags -> what one micro train, predict and eval with them produce."""
+    from hmgrl.numkit import load_checkpoint
+
+    cache = {}
+
+    def outputs(flags):
+        key = tuple(str(f) for f in flags)
+        if key not in cache:
+            run_dir = tmp_path_factory.mktemp("knob")
+            assert run_cli("train", "--drugs", synth_dir / "drugs.tsv",
+                           "--ddis", synth_dir / "ddis.tsv", "--preset", "micro",
+                           "--epochs", 1, "--folds", 3, "--only-folds", 0,
+                           "--seed", 1, "--out", run_dir / "run", *flags) == 0
+            assert run_cli("eval", "--run", run_dir / "run") == 0
+            ids = [line.split("\t")[0] for line
+                   in (synth_dir / "drugs.tsv").read_text().splitlines()[1:5]]
+            pairs = run_dir / "pairs.tsv"
+            pairs.write_text(f"{ids[0]}\t{ids[1]}\n{ids[2]}\t{ids[3]}\n")
+            ckpt = run_dir / "run" / "checkpoint" / "fold0.ckpt"
+            assert run_cli("predict", "--drugs", synth_dir / "drugs.tsv",
+                           "--train-ddis", synth_dir / "ddis.tsv", "--checkpoint",
+                           ckpt, "--pairs", pairs, "--out", run_dir / "pred.tsv") == 0
+            log = (run_dir / "run" / "log" / "fold0.jsonl").read_text().splitlines()
+            metrics = json.loads((run_dir / "run" / "metrics" / "metrics.json").read_text())
+            cache[key] = {
+                "parameters": {n: a.shape for n, a in load_checkpoint(ckpt)[0].items()},
+                "predictions": (run_dir / "pred.tsv").read_text(),
+                "first loss": json.loads(log[0])["loss_total"],
+                "eval report": metrics["summary"],
+            }
+        return cache[key]
+
+    return outputs
+
+
+@pytest.mark.parametrize("flags, base", KNOBS,
+                         ids=[flags[0].removeprefix("--") for flags, _ in KNOBS])
+def test_in_domain_knob_change_alters_an_output(micro_run_outputs, flags, base):
+    before, after = micro_run_outputs(base), micro_run_outputs(base + flags)
+    assert [what for what in before if before[what] != after[what]]
 
 
 def test_synth_many_events_picks_enough_classes(tmp_path):

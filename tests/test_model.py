@@ -391,9 +391,9 @@ def test_seeded_checkpoint_bytes_are_pinned(tmp_path):
     path = tmp_path / "m.ckpt"
     save_model(path, HmgrlModel(micro_config(), data.table, data.n_relations, seed=5))
     payload = path.read_bytes()
-    assert len(payload) == 104708
+    assert len(payload) == 104659
     assert hashlib.sha256(payload).hexdigest() == (
-        "1fb41edb94e8ff0d794c23facdd81490bb3bb7eae462741dab4e2c99ddc9d8ae")
+        "852ed56b6ef6e1214c8fde6bc6f8942eac15963f93147a99f57594b91ef5e307")
 
 
 def test_loss_ce_shape_mismatch():

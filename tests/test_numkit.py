@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -164,9 +167,12 @@ def test_concat_cols_and_slice_gradients():
     b = nk.parameter(rng.normal(size=(3, 4)))
     w = rng.normal(size=(3, 6))
 
+    window = np.eye(6)[:, 1:6]  # reads columns 1..5 of the concatenation
+
     def loss():
         cat = nk.concat_cols([a, b])
-        return nk.sum_all(nk.mul(nk.slice_cols(cat, 1, 6), nk.constant(w[:, 1:])))
+        return nk.sum_all(nk.mul(nk.matmul(cat, nk.constant(window)),
+                                 nk.constant(w[:, 1:])))
 
     fd_check(loss, [a, b])
 
@@ -297,31 +303,99 @@ def test_div_frobenius_layernorm_gradients():
     fd_check(loss, [x], rel_tol=2e-4)
 
 
-def test_block_matmul_scores_and_apply_gradients():
+def composed_attention(q, k, v, wt, token_count, n_heads):
+    """Oracle: the per-head route in plain numpy. Each head's column slice
+    is copied out, its per-block scores q k^T scaled and row-softmaxed, and
+    applied to v; the heads are concatenated. Returns the output and the
+    q, k and v gradients of sum(out * wt), head by head in reverse."""
+    rows, width = q.shape
+    blocks, hd = rows // token_count, width // n_heads
+    s = float(1.0 / np.sqrt(hd))
+    cols = [slice(h * hd, (h + 1) * hd) for h in range(n_heads)]
+
+    def split(a):
+        return a.copy().reshape(blocks, token_count, hd)
+
+    heads, weights = [], []
+    for c in cols:
+        scores = split(q[:, c]) @ split(k[:, c]).transpose(0, 2, 1)
+        scores = (scores * s).reshape(rows, token_count)
+        w = np.exp(scores - scores.max(axis=1, keepdims=True))
+        w = (w / w.sum(axis=1, keepdims=True)).reshape(blocks, token_count, token_count)
+        weights.append(w)
+        heads.append((w @ split(v[:, c])).reshape(rows, hd))
+    dq, dk, dv = np.zeros_like(q), np.zeros_like(k), np.zeros_like(v)
+    for c, w in reversed(list(zip(cols, weights))):
+        g3 = split(wt[:, c])
+        dv[:, c] = (w.transpose(0, 2, 1) @ g3).reshape(rows, hd)
+        dw = g3 @ split(v[:, c]).transpose(0, 2, 1)
+        ds = (dw - (dw * w).sum(axis=2, keepdims=True)) * w * s
+        dq[:, c] = (ds @ split(k[:, c])).reshape(rows, hd)
+        dk[:, c] = (ds.transpose(0, 2, 1) @ split(q[:, c])).reshape(rows, hd)
+    return np.hstack(heads), dq, dk, dv
+
+
+@pytest.mark.parametrize("blocks, tokens, width, n_heads", [
+    (5, 3, 6, 2),
+    (7, 4, 16, 4),
+    (4, 1, 4, 2),    # one token: each head passes its values through
+    (6, 4, 8, 1),    # one head
+    (3, 2, 4, 4),    # one column per head
+])
+def test_token_attention_matches_composed_route(blocks, tokens, width, n_heads):
+    rng = np.random.default_rng(blocks * 100 + tokens * 10 + n_heads)
+    data = [rng.normal(size=(blocks * tokens, width)) for _ in range(3)]
+    wt = rng.normal(size=(blocks * tokens, width))
+    q, k, v = (nk.parameter(a) for a in data)
+    with nk.Tape() as tape:
+        out = nk.token_attention(q, k, v, tokens, n_heads)
+        loss = nk.sum_all(nk.mul(out, nk.constant(wt)))
+    tape.backward(loss)
+    expected, dq, dk, dv = composed_attention(*data, wt, tokens, n_heads)
+    assert np.array_equal(out.data, expected)
+    assert np.array_equal(q.grad, dq)
+    assert np.array_equal(k.grad, dk)
+    assert np.array_equal(v.grad, dv)
+
+
+def test_token_attention_gradients():
     rng = np.random.default_rng(13)
-    block = 3
-    q = nk.parameter(rng.normal(size=(6, 4)))
-    k = nk.parameter(rng.normal(size=(6, 4)))
-    v = nk.parameter(rng.normal(size=(6, 4)))
+    q, k, v = (nk.parameter(rng.normal(size=(6, 4))) for _ in range(3))
     w = rng.normal(size=(6, 4))
 
     def loss():
-        scores = nk.block_matmul(q, k, block, transpose_b=True)
-        attn = nk.softmax_rows(scores)
-        out = nk.block_matmul(attn, v, block)
-        return nk.sum_all(nk.mul(out, nk.constant(w)))
+        return nk.sum_all(nk.mul(nk.token_attention(q, k, v, 3, 2), nk.constant(w)))
 
     fd_check(loss, [q, k, v])
 
 
-def test_block_matmul_groups_do_not_mix():
-    rng = np.random.default_rng(14)
-    a = rng.normal(size=(4, 2))
-    scores = nk.block_matmul(nk.constant(a), nk.constant(a), 2, transpose_b=True)
-    expect_top = a[:2] @ a[:2].T
-    expect_bot = a[2:] @ a[2:].T
-    assert np.allclose(scores.data[:2], expect_top)
-    assert np.allclose(scores.data[2:], expect_bot)
+def test_token_attention_shape_errors():
+    a = nk.constant(np.ones((6, 4)))
+    with pytest.raises(ShapeError, match="differ"):
+        nk.token_attention(a, nk.constant(np.ones((6, 2))), a, 2, 2)
+    with pytest.raises(ShapeError, match="differ"):
+        nk.token_attention(a, a, nk.constant(np.ones((4, 4))), 2, 2)
+    with pytest.raises(ShapeError, match="blocks of 4"):
+        nk.token_attention(a, a, a, 4, 2)
+    with pytest.raises(ShapeError, match="3 heads"):
+        nk.token_attention(a, a, a, 2, 3)
+
+
+def test_every_numkit_export_is_used_by_the_package():
+    """Every callable numkit exports is named (`nk.<name>`, or imported from
+    numkit) by a module of the package outside numkit: a dead op is deleted,
+    not left exported."""
+    src = Path(nk.__file__).parent.parent
+    used = set()
+    for path in src.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id == "nk"):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom) and node.module == "numkit":
+                used.update(alias.name for alias in node.names)
+    exported = [name for name in nk.__all__ if callable(getattr(nk, name))]
+    assert exported and [name for name in exported if name not in used] == []
 
 
 def test_conv1d_bank_matches_direct_convolution():
