@@ -28,9 +28,9 @@ def matmul(a, b) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            a.accumulate(g @ b_data.T)
+            a.accumulate(g @ b_data.T, fresh=True)
         if b.requires_grad:
-            b.accumulate(a_data.T @ g)
+            b.accumulate(a_data.T @ g, fresh=True)
 
     return make_output(a_data @ b_data, (a, b), backward)
 
@@ -53,7 +53,7 @@ def sub(a, b) -> Tensor:
     def backward(g):
         a.accumulate(g)
         if b.requires_grad:
-            b.accumulate(-g)
+            b.accumulate(-g, fresh=True)
 
     return make_output(a.data - b.data, (a, b), backward)
 
@@ -66,9 +66,9 @@ def mul(a, b) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            a.accumulate(g * b_data)
+            a.accumulate(g * b_data, fresh=True)
         if b.requires_grad:
-            b.accumulate(g * a_data)
+            b.accumulate(g * a_data, fresh=True)
 
     return make_output(a_data * b_data, (a, b), backward)
 
@@ -79,7 +79,7 @@ def scale(a, s: float) -> Tensor:
     s = float(s)
 
     def backward(g):
-        a.accumulate(g * s)
+        a.accumulate(g * s, fresh=True)
 
     return make_output(a.data * s, (a,), backward)
 
@@ -93,12 +93,12 @@ def div(a, b) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            a.accumulate(g / b_data)
+            a.accumulate(g / b_data, fresh=True)
         if b.requires_grad:
             gb = -g * a_data / (b_data * b_data)
             if b.shape == (1, 1):
                 gb = gb.sum().reshape(1, 1)
-            b.accumulate(gb)
+            b.accumulate(gb, fresh=True)
 
     return make_output(a_data / b_data, (a, b), backward)
 
@@ -112,7 +112,7 @@ def add_rowvec(a, v) -> Tensor:
     def backward(g):
         a.accumulate(g)
         if v.requires_grad:
-            v.accumulate(g.sum(axis=0, keepdims=True))
+            v.accumulate(g.sum(axis=0, keepdims=True), fresh=True)
 
     return make_output(a.data + v.data, (a, v), backward)
 
@@ -126,9 +126,9 @@ def mul_rowvec(a, v) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            a.accumulate(g * v_data)
+            a.accumulate(g * v_data, fresh=True)
         if v.requires_grad:
-            v.accumulate((g * a_data).sum(axis=0, keepdims=True))
+            v.accumulate((g * a_data).sum(axis=0, keepdims=True), fresh=True)
 
     return make_output(a_data * v_data, (a, v), backward)
 
@@ -140,7 +140,7 @@ def relu(a) -> Tensor:
     mask = a.data > 0
 
     def backward(g):
-        a.accumulate(g * mask)
+        a.accumulate(g * mask, fresh=True)
 
     return make_output(np.maximum(a.data, 0.0), (a,), backward)
 
@@ -157,7 +157,7 @@ def softmax_rows(a) -> Tensor:
         dot = (g * y).sum(axis=1, keepdims=True)
         dx = g - dot
         dx *= y
-        a.accumulate(dx)
+        a.accumulate(dx, fresh=True)
 
     return make_output(y, (a,), backward)
 
@@ -200,12 +200,12 @@ def softmax_gram_matmul(p, b) -> Tensor:
 
     def backward(g):
         if b.requires_grad:
-            b.accumulate(a.T @ g)
+            b.accumulate(a.T @ g, fresh=True)
         if p.requires_grad:
             ds = g @ b_data.T
             ds -= (ds * a).sum(axis=1, keepdims=True)
             ds *= a
-            p.accumulate((ds + ds.T) @ p_data)
+            p.accumulate((ds + ds.T) @ p_data, fresh=True)
 
     return make_output(out, (p, b), backward)
 
@@ -216,7 +216,7 @@ def log_clamped(a, floor: float = 1e-12) -> Tensor:
     above = a.data > floor
 
     def backward(g):
-        a.accumulate(np.where(above, g / a.data, 0.0))
+        a.accumulate(np.where(above, g / a.data, 0.0), fresh=True)
 
     return make_output(np.log(np.maximum(a.data, floor)), (a,), backward)
 
@@ -235,7 +235,7 @@ def dropout(a, rate: float, rng: np.random.Generator, training: bool) -> Tensor:
     mask = (rng.random(a.shape) >= rate) / (1.0 - rate)
 
     def backward(g):
-        a.accumulate(g * mask)
+        a.accumulate(g * mask, fresh=True)
 
     return make_output(a.data * mask, (a,), backward)
 
@@ -289,7 +289,7 @@ def gather_rows(a, index) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            a.accumulate(_scatter_rows(idx, None, None, a.shape[0], g))
+            a.accumulate(_scatter_rows(idx, None, None, a.shape[0], g), fresh=True)
 
     return make_output(a.data[idx], (a,), backward)
 
@@ -343,9 +343,9 @@ def relation_sum(x, weights, relations, n_rows: int) -> Tensor:
             d_messages = _scatter_rows(cols, rows, vals, sources.size, g)
             if x.requires_grad:
                 x.accumulate(_scatter_rows(sources, None, None, x.shape[0],
-                                           d_messages @ w.data.T))
+                                           d_messages @ w.data.T), fresh=True)
             if w.requires_grad:
-                w.accumulate(x_data[sources].T @ d_messages)
+                w.accumulate(x_data[sources].T @ d_messages, fresh=True)
 
     return make_output(total, (x, *weights), backward)
 
@@ -368,7 +368,7 @@ def sum_all(a) -> Tensor:
     shape = a.shape
 
     def backward(g):
-        a.accumulate(np.full(shape, g[0, 0]))
+        a.accumulate(np.full(shape, g[0, 0]), fresh=True)
 
     return make_output(np.array([[a.data.sum()]]), (a,), backward)
 
@@ -381,7 +381,7 @@ def frobenius_norm(a) -> Tensor:
     def backward(g):
         # subgradient 0 at the origin keeps training finite
         if norm > 0.0:
-            a.accumulate(g[0, 0] * a_data / norm)
+            a.accumulate(g[0, 0] * a_data / norm, fresh=True)
 
     return make_output(np.array([[norm]]), (a,), backward)
 
@@ -427,16 +427,16 @@ def token_attention(q, k, v, token_count: int, n_heads: int) -> Tensor:
     def backward(g):
         g4 = heads(g)
         if v.requires_grad:
-            v.accumulate(merge(w.transpose(0, 1, 3, 2) @ g4))
+            v.accumulate(merge(w.transpose(0, 1, 3, 2) @ g4), fresh=True)
         if q.requires_grad or k.requires_grad:
             ds = g4 @ v4.transpose(0, 1, 3, 2)
             ds -= (ds * w).sum(axis=3, keepdims=True)
             ds *= w
             ds *= s
             if q.requires_grad:
-                q.accumulate(merge(ds @ k4))
+                q.accumulate(merge(ds @ k4), fresh=True)
             if k.requires_grad:
-                k.accumulate(merge(ds.transpose(0, 1, 3, 2) @ q4))
+                k.accumulate(merge(ds.transpose(0, 1, 3, 2) @ q4), fresh=True)
 
     return make_output(merge(w @ v4), (q, k, v), backward)
 
@@ -454,7 +454,7 @@ def layer_norm_rows(a, eps: float = 1e-6) -> Tensor:
     def backward(g):
         gm = g.mean(axis=1, keepdims=True)
         gy = (g * y).mean(axis=1, keepdims=True)
-        a.accumulate(inv * (g - gm - y * gy))
+        a.accumulate(inv * (g - gm - y * gy), fresh=True)
 
     return make_output(y, (a,), backward)
 
@@ -494,8 +494,8 @@ def _kernel_bias_grads(g, kernel: Tensor, bias: Tensor, batch: int, length: int,
     g_flat = np.pad(g.reshape(batch, l_out, c_out),
                     ((0, 0), (0, width - 1), (0, 0))).reshape(n, c_out)
     dk = np.stack([offset_grad(j, g_flat[:n - j]) for j in range(width)], axis=2)
-    kernel.accumulate(dk.reshape(kernel.shape))
-    bias.accumulate(g.reshape(-1, c_out).sum(axis=0, keepdims=True))
+    kernel.accumulate(dk.reshape(kernel.shape), fresh=True)
+    bias.accumulate(g.reshape(-1, c_out).sum(axis=0, keepdims=True), fresh=True)
     return g_flat
 
 
@@ -525,7 +525,7 @@ def conv1d_bank(x, kernel, bias, channels_in: int, length: int) -> Tensor:
             dx = g_flat @ taps[0]
             for j in range(1, width):
                 dx[j:] += g_flat[:-j] @ taps[j]
-            x.accumulate(dx.reshape(x.shape))
+            x.accumulate(dx.reshape(x.shape), fresh=True)
 
     return make_output(out, (x, kernel, bias), backward)
 
@@ -572,6 +572,6 @@ def global_max_pool(x, channels: int, length: int) -> Tensor:
         arg = x3.argmax(axis=1)     # first max wins: deterministic tie-break
         buf = np.zeros_like(x3)
         np.put_along_axis(buf, arg[:, None, :], g[:, None, :], axis=1)
-        x.accumulate(buf.reshape(x.shape))
+        x.accumulate(buf.reshape(x.shape), fresh=True)
 
     return make_output(x3.max(axis=1), (x,), backward)

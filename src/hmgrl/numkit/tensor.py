@@ -114,10 +114,17 @@ class Tensor:
         if self.grad is None:
             self.grad = np.zeros_like(self.data)
 
-    def accumulate(self, g: np.ndarray) -> None:
+    def accumulate(self, g: np.ndarray, fresh: bool = False) -> None:
+        """Add g to the gradient. The first g is copied, or adopted as the
+        gradient itself when `fresh`: a new float64 array that the op
+        computed for this input alone and never touches again. An op's
+        incoming gradient, or a view of it, is never fresh: adopted, two
+        tensors would share, and add into, one buffer."""
+        if g.shape != self.shape:
+            raise ShapeError(f"gradient shape {g.shape} != tensor shape {self.shape}")
         if self.requires_grad:
             if self.grad is None:
-                self.grad = np.array(g, dtype=np.float64, copy=True)
+                self.grad = g if fresh else np.array(g, dtype=np.float64, copy=True)
             else:
                 self.grad += g
 

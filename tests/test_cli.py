@@ -348,6 +348,7 @@ KNOBS = [
     (["--decoder-hidden", 12], []),
     (["--mixup-alpha", 0.4], ["--mixup"]),
     (["--macro-auc"], []),
+    (["--rectified"], []),
 ]
 
 

@@ -482,6 +482,36 @@ def test_releasing_backward_matches_the_keeping_replay():
         assert np.array_equal(released[name], p.grad), name
 
 
+def assert_no_shared_buffers(named_grads):
+    for i, (name, grad) in enumerate(named_grads):
+        for other, other_grad in named_grads[i + 1:]:
+            assert not np.shares_memory(grad, other_grad), (name, other)
+
+
+def test_no_two_gradients_share_a_buffer():
+    # ops adopt fresh gradient arrays; a buffer shared by two tensors would
+    # take both tensors' later contributions
+    model, graph, pairs, labels = desk_batch()
+    model.zero_grad()
+    tape, result = labelled_training_forward(model, graph, pairs, labels)
+    tape.backward(result.loss_total)
+    params = [(name, p.grad) for name, p in model.params.items()]
+    assert all(grad is not None for _, grad in params)
+    assert_no_shared_buffers(params)
+
+    # every op output too: replay a kept tape, so no gradient is released
+    model.zero_grad()
+    tape, result = labelled_training_forward(model, graph, pairs, labels)
+    records = list(tape._records)
+    result.loss_total.grad = np.ones((1, 1))
+    for out, backward in reversed(records):
+        if out.grad is not None:
+            backward(out.grad)
+    outputs = [(f"record {i}", out.grad) for i, (out, _) in enumerate(records)
+               if out.grad is not None]
+    assert_no_shared_buffers(params + outputs)
+
+
 def test_backward_keeps_no_record():
     model, graph, pairs, labels = desk_batch(size=32)
     tape, result = labelled_training_forward(model, graph, pairs, labels)

@@ -1,4 +1,5 @@
 import ast
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 from hmgrl import numkit as nk
 from hmgrl.errors import NumericError, ParameterError, ShapeError
+from hmgrl.numkit.optim import ADAM_CHUNK
 from hmgrl.oracle import finite_difference_grad
 
 
@@ -557,6 +559,16 @@ def test_adam_rejects_non_finite_gradient_before_any_update(bad):
     assert np.array_equal(second.data, [[3.0, 4.0]])
 
 
+def test_adam_rejects_a_misshapen_gradient_before_any_update():
+    first, second = nk.parameter([[1.0, -2.0]]), nk.parameter([[3.0, 4.0]])
+    first.grad, second.grad = np.array([[0.5, 0.5]]), np.array([[0.1], [0.2]])
+    state = nk.OptimizerState(lr=0.1)
+    with pytest.raises(ShapeError, match="second"):
+        nk.adam_step({"first": first, "second": second}, state)
+    assert state.step == 0 and not state.m and not state.v
+    assert np.array_equal(first.data, [[1.0, -2.0]])
+
+
 def test_adam_minimizes_quadratic():
     p = nk.parameter([[3.0]])
     state = nk.OptimizerState(lr=0.1)
@@ -597,6 +609,126 @@ def test_rectified_adam_early_steps_skip_variance_term():
     nk.adam_step({"p": p}, state)
     # first step: rho_t <= 4, update is lr * m_hat = 0.1 * 1.0
     assert p.data[0, 0] == pytest.approx(0.9)
+
+
+def unfused_adam_step(params, state):
+    """Oracle: the whole-array update, one full-size temporary per term."""
+    state.step += 1
+    t = state.step
+    b1, b2 = state.beta1, state.beta2
+    bc1 = 1.0 - b1 ** t
+    bc2 = 1.0 - b2 ** t
+    if state.rectified:
+        rho_inf = 2.0 / (1.0 - b2) - 1.0
+        rho_t = rho_inf - 2.0 * t * (b2 ** t) / bc2
+    for name, p in params.items():
+        g = p.grad if p.grad is not None else np.zeros_like(p.data)
+        if name not in state.m:
+            state.m[name], state.v[name] = np.zeros_like(p.data), np.zeros_like(p.data)
+        m, v = state.m[name], state.v[name]
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * (g * g)
+        m_hat = m / bc1
+        if state.rectified:
+            if rho_t > 4.0:
+                r = np.sqrt(((rho_t - 4.0) * (rho_t - 2.0) * rho_inf)
+                            / ((rho_inf - 4.0) * (rho_inf - 2.0) * rho_t))
+                p.data -= state.lr * r * m_hat / (np.sqrt(v / bc2) + state.eps)
+            else:
+                p.data -= state.lr * m_hat
+        else:
+            p.data -= state.lr * m_hat / (np.sqrt(v / bc2) + state.eps)
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("rectified", [False, True])
+def test_chunked_adam_matches_the_unfused_update(rectified):
+    # below, equal to and not a multiple of the chunk; "idle" has no gradient
+    # on odd steps, and its moments start as -0.0, so the shared zero chunk
+    # meets signed zeros and then non-zero moments
+    shapes = {"small": (3, 5), "chunk": (1, ADAM_CHUNK),
+              "ragged": (5, 2 * ADAM_CHUNK // 5 + 7), "idle": (7, 9)}
+
+    def start():
+        params = {name: nk.parameter(np.random.default_rng(5).normal(size=s))
+                  for name, s in shapes.items()}
+        state = nk.OptimizerState(lr=0.01, rectified=rectified)
+        state.m["idle"], state.v["idle"] = (np.full(shapes["idle"], -0.0)
+                                            for _ in "mv")
+        return params, state
+
+    (fused, fused_state), (oracle, oracle_state) = start(), start()
+    grads = np.random.default_rng(9)
+    for step in range(1, 11):
+        for name in shapes:
+            g = grads.normal(scale=10.0 ** grads.integers(-6, 3), size=shapes[name])
+            g[0, :2] = 0.0, -0.0
+            fused[name].grad = oracle[name].grad = (
+                None if name == "idle" and step % 2 else g)
+        nk.adam_step(fused, fused_state)
+        unfused_adam_step(oracle, oracle_state)
+        for name in shapes:
+            assert same_bits(fused[name].data, oracle[name].data), (step, name)
+            assert same_bits(fused_state.m[name], oracle_state.m[name]), (step, name)
+            assert same_bits(fused_state.v[name], oracle_state.v[name]), (step, name)
+        if step == 1:   # adding the zero chunk turned -0.0 into +0.0
+            assert not np.signbit(fused_state.m["idle"]).any()
+    if rectified:   # the run takes both branches: rho_t passes 4 within it
+        b2 = fused_state.beta2
+        rho = [2 / (1 - b2) - 1 - 2 * t * b2 ** t / (1 - b2 ** t) for t in (1, 10)]
+        assert rho[0] <= 4.0 < rho[1]
+
+
+def test_adam_updates_parameters_and_gradients_of_any_layout():
+    rng = np.random.default_rng(13)
+    data, grad = rng.normal(size=(2, 3, 4))
+    c_order = {"p": nk.parameter(data)}
+    f_order = {"p": nk.parameter(np.asfortranarray(data))}
+    assert not f_order["p"].data.flags.c_contiguous
+    c_order["p"].grad, f_order["p"].grad = grad, np.asfortranarray(grad)
+    for params in (c_order, f_order):
+        nk.adam_step(params, nk.OptimizerState(lr=0.1))
+    assert not np.array_equal(c_order["p"].data, data)
+    assert same_bits(c_order["p"].data, np.ascontiguousarray(f_order["p"].data))
+
+
+def test_adam_step_allocates_no_full_size_temporaries():
+    params = {"with": nk.parameter(np.ones((400, 1000))),
+              "without": nk.parameter(np.ones((400, 1000)))}
+    params["with"].grad = np.full((400, 1000), 0.5)
+    state = nk.OptimizerState(lr=0.1)
+    nk.adam_step(params, state)          # allocates the moments
+    tracemalloc.start()
+    try:
+        nk.adam_step(params, state)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # each parameter is 3.2 MB; the two scratch chunks take 0.5 MB
+    assert peak < 1_000_000, f"adam_step peaked at {peak / 1e6:.2f} MB"
+
+
+def test_accumulate_rejects_a_gradient_of_another_shape():
+    t = nk.Tensor(np.zeros((2, 3)), requires_grad=True)
+    with pytest.raises(ShapeError, match=r"\(1, 3\).*\(2, 3\)"):
+        t.accumulate(np.ones((1, 3)))
+    t.accumulate(np.ones((2, 3)))
+    with pytest.raises(ShapeError, match=r"\(1, 3\).*\(2, 3\)"):
+        t.accumulate(np.ones((1, 3)))      # would broadcast into the buffer
+    assert np.array_equal(t.grad, np.ones((2, 3)))
+
+
+def test_accumulate_copies_a_gradient_unless_it_is_fresh():
+    g = np.ones((2, 2))
+    copied, adopted = (nk.Tensor(np.zeros((2, 2)), requires_grad=True) for _ in "ab")
+    copied.accumulate(g)
+    adopted.accumulate(g, fresh=True)
+    assert not np.shares_memory(copied.grad, g) and adopted.grad is g
 
 
 def test_checkpoint_roundtrip_bit_exact(tmp_path):
