@@ -296,17 +296,17 @@ class HmgrlModel:
         embeddings = self.drug_embeddings(graph)
         features = self.comprehensive_features(embeddings, us, vs)
 
-        seq_sources = _PairSequences(self.table, us, vs)
         labels_used = labels
         if training and self.config.mixup and labels is not None:
             if mixup_rng is None:
                 raise ParameterError("mixup needs an RNG")
-            features, labels_used, seq_sources = mixup_batch(
-                features, labels, seq_sources, mixup_rng, self.config.mixup_alpha)
+            features, labels_used, dominant = mixup_batch(
+                features, labels, mixup_rng, self.config.mixup_alpha)
+            us, vs = us[dominant], vs[dominant]  # only the views read them on
 
         # without labels no loss is formed, so the views skip their regularizers
-        clustered = mvdsc_forward(features, seq_sources, self.views,
-                                  regularize=labels_used is not None)
+        clustered = mvdsc_forward(features, _PairSequences(self.table, us, vs),
+                                  self.views, regularize=labels_used is not None)
         probs = self.decode(clustered.representation, training, dropout_rng)
 
         result = ForwardResult(probabilities=probs,
@@ -337,13 +337,14 @@ def total_loss(ce: nk.Tensor, regularizer: nk.Tensor, weight: float) -> nk.Tenso
     return nk.add(ce, nk.scale(regularizer, float(weight)))
 
 
-def mixup_batch(features: nk.Tensor, labels: np.ndarray, seq_sources: dict,
+def mixup_batch(features: nk.Tensor, labels: np.ndarray,
                 rng: np.random.Generator, alpha: float = 1.0):
     """Convexly mix features and labels with a random permutation partner.
 
-    One lambda ~ Beta(alpha, alpha) per batch. The integer sequence sources
-    are not convex-combinable, so the clustering views receive the sequences
-    of the lambda-dominant partner.
+    One lambda ~ Beta(alpha, alpha) per batch. Returns (mixed features, mixed
+    labels, dominant): the integer sequence sources are not convex-combinable,
+    so the clustering views read the sequences of the batch rows `dominant`,
+    each row's lambda-dominant partner.
     """
     k = features.shape[0]
     if k < 2:
@@ -353,11 +354,7 @@ def mixup_batch(features: nk.Tensor, labels: np.ndarray, seq_sources: dict,
     mixed = nk.add(nk.scale(features, lam),
                    nk.scale(nk.gather_rows(features, perm), 1.0 - lam))
     mixed_labels = lam * labels + (1.0 - lam) * labels[perm]
-    if lam >= 0.5:
-        dominant = seq_sources
-    else:
-        dominant = {name: mat[perm] for name, mat in seq_sources.items()}
-    return mixed, mixed_labels, dominant
+    return mixed, mixed_labels, (np.arange(k) if lam >= 0.5 else perm)
 
 
 def one_hot(classes, n_classes: int) -> np.ndarray:
@@ -449,6 +446,20 @@ def predict(model: HmgrlModel, graph: RelGraph, pairs) -> tuple[np.ndarray, np.n
         result = model.forward(graph, pairs, training=False)
     probs = result.probabilities.data
     return probs.argmax(axis=1), probs
+
+
+def score_checkpoint(checkpoint, table: DrugTable, ddi_path, train_triples,
+                     pairs) -> tuple[np.ndarray, np.ndarray]:
+    """predict's (argmax event types, probability rows) for `pairs`, from a
+    saved model over the graph of its training interactions, read from
+    `ddi_path`. The graph has the checkpoint's event types; an interaction
+    of any other type is a DataError naming `ddi_path`."""
+    model, _ = load_model(checkpoint, table)
+    try:
+        graph = RelGraph.from_triples(len(table), model.n_relations, train_triples)
+    except ValidationError as err:
+        raise DataError(str(err), path=ddi_path) from None
+    return predict(model, graph, pairs)
 
 
 # ---------------------------------------------------------------- checkpoint

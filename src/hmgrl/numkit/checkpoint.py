@@ -35,16 +35,11 @@ def save_checkpoint(path, tensors: dict[str, np.ndarray], meta: dict) -> None:
 
 
 def _read_line(fh, path) -> bytes:
-    buf = bytearray()
-    while True:
-        ch = fh.read(1)
-        if not ch:
-            if buf:
-                raise DataError("truncated record header", path=path)
-            return b""
-        if ch == b"\n":
-            return bytes(buf)
-        buf += ch
+    """The next line without its newline; b"" at the end of the file."""
+    line = fh.readline()
+    if line and not line.endswith(b"\n"):
+        raise DataError("truncated record header", path=path)
+    return line[:-1]
 
 
 def _dimension(text: str, name: str, path) -> int:

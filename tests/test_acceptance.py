@@ -10,13 +10,12 @@ import time
 import numpy as np
 import pytest
 
+from hmgrl import cli
 from hmgrl import numkit as nk
 from hmgrl.config import apply_preset
 from hmgrl.evaluate import compute_metrics, make_splits
-from hmgrl.graphcore import RelGraph
 from hmgrl.model import (
     DdiDataset,
-    HmgrlModel,
     one_hot,
     predict,
     save_model,
@@ -25,8 +24,8 @@ from hmgrl.model import (
 from hmgrl.mvdsc import loss_graph_cut, loss_orthogonality
 from hmgrl.oracle import (
     FdConfig,
-    gradcheck,
     metric_oracle,
+    micro_gradcheck,
     ncut_objective,
     ncut_trace_form,
     spectral_cluster_oracle,
@@ -41,34 +40,34 @@ def _dataset(seed, **kw):
     return DdiDataset(table, triples, max(r for _, _, r in triples) + 1)
 
 
-def test_criterion_1_gradient_integrity():
-    # micro setup: 12 drugs, 4 event types, batch of 8, every width 8, 1 hop
+def test_criterion_1_gradient_integrity(monkeypatch, capsys):
+    # micro setup: 12 drugs, 4 event types, batch of 8, every width 8, 1 hop;
+    # run as `hmgrl gradcheck` with no flags, which must check this very case
+    case = {}
+
+    def recorded(config, seeds, fd):
+        case.update(config=config, seeds=seeds, fd=fd)
+        case["report"] = micro_gradcheck(config, seeds, fd)
+        return case["report"]
+
+    monkeypatch.setattr(cli, "micro_gradcheck", recorded)
     started = time.perf_counter()
-    data = _dataset(7, n_drugs=12, n_events=4, density=0.5, targets_size=10,
-                    enzymes_size=8, substructures_size=12, smiles_length=(10, 24))
-    cfg = apply_preset("micro").replace(mixup=False, dropout_rate=0.0)
-    assert cfg.propagation_hops == 1
-    model = HmgrlModel(cfg, data.table, data.n_relations, seed=3)
-    nudge = np.random.default_rng(5)  # move zero biases off the relu kink
-    for p in model.params.values():
-        p.data += nudge.normal(scale=0.02, size=p.data.shape)
-    graph = RelGraph.from_triples(data.n_drugs, data.n_relations, data.triples)
-    batch = data.triples[:8]
-    pairs = [(u, v) for u, v, _ in batch]
-    labels = one_hot([r for _, _, r in batch], data.n_relations)
-
-    def loss():
-        return model.forward(graph, pairs, labels=labels,
-                             training=True).loss_total
-
-    report = gradcheck(loss, model.params,
-                       FdConfig(h=1e-5, rel_tol=1e-4, abs_tol=1e-7,
-                                sample_count=6, full_sweep_size=64),
-                       rng=np.random.default_rng(11))
+    code = cli.main(["gradcheck"])
     elapsed = time.perf_counter() - started
+    report = case["report"]
+    assert case["config"] == apply_preset("micro")
+    assert case["config"].propagation_hops == 1
+    assert case["seeds"] == (7, 3, 5, 11)  # data, model, bias nudge, FD sample
+    assert case["fd"] == FdConfig(h=1e-5, rel_tol=1e-4, abs_tol=1e-7, sample_count=6,
+                          full_sweep_size=64)
     bad = {k: v for k, v in report.items() if not v["ok"]}
     worst = max(v["max_rel_err"] for v in report.values())
     assert not bad, f"gradient mismatches: {bad}"
+    assert code == 0
+    table = capsys.readouterr().out.splitlines()
+    assert [row.split()[0] for row in table[1:-1]] == list(report)
+    assert all(row.endswith("  yes") for row in table[1:-1])
+    assert table[-1] == f"{len(report)} parameters checked, 0 failures"
     assert elapsed < 60.0, f"gradient check took {elapsed:.1f}s"
     print(f"\nACCEPTANCE 1 PASS: {len(report)} parameters, worst rel err "
           f"{worst:.2e} <= 1e-4, runtime {elapsed:.1f}s < 60s")

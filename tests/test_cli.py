@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -335,36 +337,68 @@ def test_stored_config_with_retired_keys_loads(tmp_path):
     assert load_config(path) == cfg
 
 
-# Fields no other test shows to matter, each with an in-domain change from
-# the micro preset and the flags it is read under (mixup_alpha only with
-# mixup on). Each change must alter the parameter set, the predictions, the
-# first training loss or the eval report.
+# Every RunConfig field but the data paths and the fold selection, each with
+# an in-domain change from the micro preset and the flags it is read under
+# (mixup_alpha only with mixup on). A dict row holds config-file entries:
+# the tuple fields have no flag, and --preset would overwrite `preset`. Each
+# change must alter the parameter set, the predictions, the first training
+# loss, the eval report or the preset echoed into metrics.json.
 KNOBS = [
-    (["--attn-heads", 1], []),
+    (["--task", 2], []),
+    (["--folds", 4], []),
+    (["--seed", 2], []),
+    ({"preset": ""}, []),
+    (["--batch-size", 4], []),
+    (["--learning-rate", 0.01], []),
+    (["--dropout-rate", 0.3], []),
+    (["--epochs", 2], []),
+    (["--embed-dim", 6], []),
+    (["--propagation-hops", 2], []),
+    (["--attention-dim", 6], []),
+    (["--embedding-encoder-dim", 6], []),
+    (["--dsc-heads", 3], []),
+    (["--dsc-clusters", 3], []),
+    (["--regularizer-weight", 0.5], []),
+    (["--rgcn-depth", 2], []),
+    ({"cnn_channels": [4, 5, 7]}, []),
+    ({"cnn_kernels": [3, 5, 5]}, []),
     (["--token-count", 3], []),
     (["--token-dim", 4], []),
-    (["--rgcn-depth", 2], []),
+    (["--attn-heads", 1], []),
     (["--dsc-proj-dim", 2], []),
     (["--decoder-hidden", 12], []),
+    (["--adam-beta1", 0.5], []),
+    (["--adam-beta2", 0.9], []),
+    (["--adam-eps", 1e-3], []),
+    (["--rectified"], []),
+    (["--mixup"], []),
     (["--mixup-alpha", 0.4], ["--mixup"]),
     (["--macro-auc"], []),
-    (["--rectified"], []),
 ]
 
 
 @pytest.fixture(scope="module")
 def micro_run_outputs(synth_dir, tmp_path_factory):
-    """flags -> what one micro train, predict and eval with them produce."""
+    """flags -> what one micro train, predict and eval with them produce.
+    A dict of config-file entries replaces `--preset micro` by a config file
+    holding the micro values updated by the entries."""
+    from hmgrl.config import apply_preset
     from hmgrl.numkit import load_checkpoint
 
     cache = {}
 
     def outputs(flags):
-        key = tuple(str(f) for f in flags)
+        key = json.dumps(flags, sort_keys=True, default=str)
         if key not in cache:
             run_dir = tmp_path_factory.mktemp("knob")
+            if isinstance(flags, dict):
+                cfg = run_dir / "cfg.json"
+                cfg.write_text(json.dumps({**apply_preset("micro").as_dict(), **flags}))
+                flags = ["--config", cfg]
+            else:
+                flags = ["--preset", "micro", *flags]
             assert run_cli("train", "--drugs", synth_dir / "drugs.tsv",
-                           "--ddis", synth_dir / "ddis.tsv", "--preset", "micro",
+                           "--ddis", synth_dir / "ddis.tsv",
                            "--epochs", 1, "--folds", 3, "--only-folds", 0,
                            "--seed", 1, "--out", run_dir / "run", *flags) == 0
             assert run_cli("eval", "--run", run_dir / "run") == 0
@@ -383,17 +417,112 @@ def micro_run_outputs(synth_dir, tmp_path_factory):
                 "predictions": (run_dir / "pred.tsv").read_text(),
                 "first loss": json.loads(log[0])["loss_total"],
                 "eval report": metrics["summary"],
+                "preset echo": metrics["config"]["preset"],
             }
         return cache[key]
 
     return outputs
 
 
+def _knob_row_id(flags) -> str:
+    return next(iter(flags)) if isinstance(flags, dict) else flags[0].removeprefix("--")
+
+
 @pytest.mark.parametrize("flags, base", KNOBS,
-                         ids=[flags[0].removeprefix("--") for flags, _ in KNOBS])
+                         ids=[_knob_row_id(flags) for flags, _ in KNOBS])
 def test_in_domain_knob_change_alters_an_output(micro_run_outputs, flags, base):
-    before, after = micro_run_outputs(base), micro_run_outputs(base + flags)
+    before = micro_run_outputs(base)
+    if isinstance(flags, dict):  # the micro config file reproduces --preset micro
+        assert micro_run_outputs({}) == before
+    after = micro_run_outputs(flags if isinstance(flags, dict) else base + flags)
     assert [what for what in before if before[what] != after[what]]
+
+
+def test_knob_table_covers_every_config_field():
+    from hmgrl.config import RunConfig
+
+    rows = {_knob_row_id(flags).replace("-", "_") for flags, _ in KNOBS}
+    rows = {"n_folds" if row == "folds" else row for row in rows}
+    # every run sets these three: --drugs, --ddis and --only-folds
+    fields = {f.name for f in dataclasses.fields(RunConfig)}
+    assert rows == fields - {"drug_table", "ddi_file", "folds"}
+
+
+@pytest.fixture(scope="module")
+def event8_run(tmp_path_factory):
+    """A one-epoch micro run on fold 0 of 3 of the default synthetic set
+    (8 event types): (data directory, run directory, pairs file)."""
+    base = tmp_path_factory.mktemp("event8")
+    data, run_dir = base / "data", base / "run"
+    assert run_cli("synth", "--out", data) == 0
+    assert run_cli("train", "--drugs", data / "drugs.tsv", "--ddis", data / "ddis.tsv",
+                   "--preset", "micro", "--epochs", 1, "--folds", 3,
+                   "--only-folds", 0, "--out", run_dir) == 0
+    pairs = base / "pairs.tsv"
+    pairs.write_text("SYN0000\tSYN0001\nSYN0002\tSYN0003\n")
+    return data, run_dir, pairs
+
+
+def test_unknown_event_type_in_predict_graph_names_interaction_file(
+        event8_run, tmp_path, capsys):
+    data, run_dir, pairs = event8_run
+    lines = (data / "ddis.tsv").read_text().splitlines()
+    drug_a, drug_b, _ = lines[0].split("\t")
+    ddis = tmp_path / "ddis.tsv"
+    ddis.write_text(f"{drug_a}\t{drug_b}\t9\n" + "".join(f"{x}\n" for x in lines[1:]))
+    code = run_cli("predict", "--drugs", data / "drugs.tsv", "--train-ddis", ddis,
+                   "--checkpoint", run_dir / "checkpoint" / "fold0.ckpt",
+                   "--pairs", pairs)
+    err = capsys.readouterr().err
+    assert code == EXIT_DATA
+    assert f"{ddis}: " in err and "event type out of range 0..7" in err
+
+
+def _eval_on_other_interactions(run_dir, lines, tmp_path):
+    """eval's exit code for a copy of the run whose config names an
+    interaction file of the given lines; (code, that file, the copy)."""
+    ddis = tmp_path / "ddis.tsv"
+    ddis.write_text("".join(f"{line}\n" for line in lines))
+    run = tmp_path / "run"
+    shutil.copytree(run_dir, run)
+    config = run / "config" / "config.json"
+    config.write_text(json.dumps({**json.loads(config.read_text()),
+                                  "ddi_file": str(ddis)}))
+    return run_cli("eval", "--run", run), ddis, run
+
+
+def test_eval_scores_a_run_whose_interaction_file_lost_an_event_type(
+        event8_run, tmp_path):
+    # the graph takes the checkpoint's 8 event types, not the file's 7
+    data, run_dir, pairs = event8_run
+    lines = [x for x in (data / "ddis.tsv").read_text().splitlines()
+             if not x.endswith("\t7")]
+    code, ddis, run = _eval_on_other_interactions(run_dir, lines, tmp_path)
+    assert code == 0
+    metrics = json.loads((run / "metrics" / "metrics.json").read_text())
+    assert len(metrics["folds"]) == 1
+    assert run_cli("predict", "--drugs", data / "drugs.tsv", "--train-ddis", ddis,
+                   "--checkpoint", run / "checkpoint" / "fold0.ckpt",
+                   "--pairs", pairs) == 0
+
+
+def test_eval_unknown_test_event_type_names_interaction_file(
+        event8_run, tmp_path, capsys):
+    from hmgrl.evaluate import make_splits
+    from hmgrl.model import DdiDataset
+
+    data, run_dir, _ = event8_run
+    dataset = DdiDataset.load(data / "drugs.tsv", data / "ddis.tsv")
+    plan = make_splits(dataset.triples, dataset.n_drugs, task=1, n_folds=3, seed=0)
+    # a task-1 split depends only on the interaction count, so the relabelled
+    # interaction stays in fold 0's test share, outside its graph
+    j = dataset.triples.index(plan.folds[0].test[0])
+    lines = (data / "ddis.tsv").read_text().splitlines()
+    lines[j] = lines[j].rsplit("\t", 1)[0] + "\t8"
+    code, ddis, _ = _eval_on_other_interactions(run_dir, lines, tmp_path)
+    err = capsys.readouterr().err
+    assert code == EXIT_DATA
+    assert f"{ddis}: event type 8 is not among the checkpoint's 0..7" in err
 
 
 def test_synth_many_events_picks_enough_classes(tmp_path):

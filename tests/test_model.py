@@ -82,11 +82,10 @@ def test_mixup_lambda_one_keeps_batch():
     rng = np.random.default_rng(1)
     feats = nk.constant(rng.normal(size=(4, 3)))
     labels = one_hot([0, 1, 0, 1], 2)
-    seqs = {"targets": rng.integers(0, 3, size=(4, 5)).astype(float)}
-    mixed, mlabels, mseqs = mixup_batch(feats, labels, seqs, FixedBeta(1.0))
+    mixed, mlabels, dominant = mixup_batch(feats, labels, FixedBeta(1.0))
     assert np.allclose(mixed.data, feats.data, atol=1e-15)
     assert np.allclose(mlabels, labels)
-    assert np.array_equal(mseqs["targets"], seqs["targets"])
+    assert np.array_equal(dominant, np.arange(4))
 
 
 def test_mixup_half_blends_onehots():
@@ -94,7 +93,7 @@ def test_mixup_half_blends_onehots():
     labels = one_hot([0, 1], 2)
     stub = FixedBeta(0.5, seed=3)
     perm = np.random.default_rng(3).permutation(2)
-    mixed, mlabels, _ = mixup_batch(feats, labels, {"targets": np.zeros((2, 2))}, stub)
+    mixed, mlabels, _ = mixup_batch(feats, labels, stub)
     expected = 0.5 * labels + 0.5 * labels[perm]
     assert np.allclose(mlabels, expected)
     assert np.allclose(mlabels.sum(axis=1), 1.0)
@@ -105,11 +104,16 @@ def test_mixup_dominant_partner_sequences():
     rng = np.random.default_rng(2)
     feats = nk.constant(rng.normal(size=(3, 2)))
     labels = one_hot([0, 1, 2], 3)
-    seqs = {"targets": np.arange(6, dtype=float).reshape(3, 2)}
     stub = FixedBeta(0.2, seed=5)
     perm = np.random.default_rng(5).permutation(3)
-    _, _, mseqs = mixup_batch(feats, labels, seqs, stub)
-    assert np.array_equal(mseqs["targets"], seqs["targets"][perm])
+    _, _, dominant = mixup_batch(feats, labels, stub)
+    assert np.array_equal(dominant, perm)
+    # permuting the pair index vectors permutes the sequence rows bit for bit
+    mat = rng.integers(0, 2, size=(5, 7)).astype(float)
+    us, vs = np.array([0, 1, 2]), np.array([3, 4, 0])
+    assert np.array_equal(
+        featurize.pair_attribute_sequence(mat[us[dominant]], mat[vs[dominant]]),
+        featurize.pair_attribute_sequence(mat[us], mat[vs])[perm])
 
 
 def test_model_shapes_and_named_params():
