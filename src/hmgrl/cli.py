@@ -222,7 +222,10 @@ def cmd_predict(args) -> int:
         fields = line.split("\t")
         if len(fields) != 2:
             raise DataError("expected 'drug_a<TAB>drug_b'", args.pairs, line_no)
-        pairs.append(tuple(table.lookup(d, args.pairs, line_no) for d in fields))
+        u, v = (table.lookup(d, args.pairs, line_no) for d in fields)
+        if u == v:
+            raise DataError("a pair must join two distinct drugs", args.pairs, line_no)
+        pairs.append((u, v))
     if len(pairs) < 2:  # the clustering views cluster the query batch
         raise DataError(f"need at least 2 pairs, got {len(pairs)}", args.pairs)
     pred, probs = score_checkpoint(args.checkpoint, table, args.train_ddis,

@@ -130,21 +130,25 @@ class MvdscResult:
 
 def view_forward(view: DscView, source, features, keep_adjacencies: bool):
     """One view end to end, one head at a time: adjacency, then assignment.
-    Kept for the graph-cut loss, a head's K x K adjacency is built whole;
-    otherwise the head is relu(softmax_gram_matmul(source @ W_adj,
-    features @ W_assign)), which never holds more than a tile of it, and the
-    returned adjacency list is empty."""
+    While a tape records, a head's K x K adjacency is built whole and serves
+    both the assignment and the graph-cut loss. Otherwise the head is
+    relu(softmax_gram_matmul(source @ W_adj, features @ W_assign)), which
+    never holds more than a tile of it, and the adjacency is built only if
+    `keep_adjacencies` asks for it, for the loss; else the list is empty."""
+    taping = nk.recording([source, features, *view.params.values()])
     assignments, adjacencies = [], []
     for m in range(view.n_heads):
         w_adj = view.params[f"{view.prefix}.adj{m}"]
         w_assign = view.params[f"{view.prefix}.assign{m}"]
-        if keep_adjacencies:
+        if taping:
             a = dsc_adjacency(source, w_adj)
             assignments.append(graph_cut_assign(a, features, w_assign))
             adjacencies.append(a)
-        else:
-            assignments.append(nk.relu(nk.softmax_gram_matmul(
-                _project(source, w_adj), nk.matmul(features, w_assign))))
+            continue
+        assignments.append(nk.relu(nk.softmax_gram_matmul(
+            _project(source, w_adj), nk.matmul(features, w_assign))))
+        if keep_adjacencies:
+            adjacencies.append(dsc_adjacency(source, w_adj))
     output = dsc_output(assignments, features, view.params[f"{view.prefix}.mix"])
     return output, assignments, adjacencies
 

@@ -34,7 +34,8 @@ from .ops import (
     token_attention,
     transpose,
 )
-from .tensor import Tape, Tensor, as_tensor, constant, no_grad, parameter
+from .tensor import (Tape, Tensor, as_tensor, constant, no_grad, parameter,
+                     recording)
 
 __all__ = [
     "MAGIC", "OptimizerState", "Tape", "Tensor",
@@ -42,7 +43,8 @@ __all__ = [
     "constant", "conv1d_bank", "conv1d_onehot",
     "div", "dropout", "frobenius_norm", "gather_rows", "global_max_pool",
     "layer_norm_rows", "load_checkpoint", "log_clamped", "matmul", "mul",
-    "mul_rowvec", "no_grad", "parameter", "relation_sum", "relu", "reshape",
+    "mul_rowvec", "no_grad", "parameter", "recording", "relation_sum", "relu",
+    "reshape",
     "save_checkpoint", "scale", "softmax_gram_matmul", "softmax_rows",
     "sub", "sum_all", "token_attention", "transpose",
 ]

@@ -162,43 +162,76 @@ def softmax_rows(a) -> Tensor:
     return make_output(y, (a,), backward)
 
 
-# Rows of A per tile in softmax_gram_matmul. A 64 x K float64 tile (1.3 MB at
-# K = 2,614) stays in cache from the Gram GEMM through the row softmax to the
-# product with b: one DSC head at 2,614 pairs (32 projected and 16 cluster
-# columns) took ~47 ms this way against ~94 ms for the dense K x K route, and
-# tiles of 16-512 rows took 47-56 ms (2-core x86 box).
-GRAM_TILE = 64
+# Rows of A per tile in softmax_gram_matmul, swept over 16-512 (2-core x86
+# box, no tape). At K = 2,655 pairs with 32 projected and 16 cluster columns
+# a head took 30.5-31.3 ms for tiles of 128-512 rows, 33 ms for 64 and
+# 37-38 ms for 16-32. At K = 7,447 with 200 and 200 (the d1-task1 dims) it
+# took 773 ms for 512 rows, 856 ms for 256, 889 ms for 128 and 1,110 ms for
+# 64, where bigger tiles feed the GEMMs better. A 512 x 7,447 tile is 30 MB,
+# against 444 MB for the whole A.
+GRAM_TILE = 512
+# A tile with a row whose shifted exponentials sum below this (~e^-645,
+# well above the subnormal range) is redone with its exact row maxima.
+GRAM_SUM_FLOOR = 1e-280
 
 
 def softmax_gram_matmul(p, b) -> Tensor:
-    """softmax_rows(p @ p^T) @ b, with A = softmax_rows(p @ p^T) formed in
-    tiles of GRAM_TILE rows, each softmaxed as softmax_rows does it; a batch
-    of one tile gives the dense route's bits.
+    """softmax_rows(p @ p^T) @ b in tiles of GRAM_TILE rows of
+    A = softmax_rows(p @ p^T), three passes per tile, equal to the dense
+    formula up to rounding.
 
-    Without a tape the tiles share one buffer, so the K x K matrix A never
-    exists whole. Under a tape the tiles fill a kept A for the backward:
-    dB = A^T g, dS = A * (dA - rowsum(dA * A)) with dA = g b^T, and
-    dP = (dS + dS^T) p.
+    One GEMM [p, -c] @ [p, 1]^T gives row i of p @ p^T shifted by
+    c_i = |p_i| max_j |p_j|, a Cauchy-Schwarz bound on its largest entry;
+    one in-place exp gives E; and E @ [b, 1] gives the unnormalized product
+    with the row sums s as its last column, so the K x C product is divided
+    by s instead of the tile by its row sums. A tile with a row sum below
+    GRAM_SUM_FLOOR, or a value that is not finite (the bound's rounding can
+    overflow exp once Gram entries near 1e19), is redone with its exact row
+    maxima.
+
+    Without a tape the tiles share one buffer, so the K x K matrix E never
+    exists whole. Under a tape the tiles fill a kept E, and the backward
+    forms A = E / s: dB = A^T g, dS = A * (dA - rowsum(dA * A)) with
+    dA = g b^T, and dP = (dS + dS^T) p.
     """
     p, b = as_tensor(p), as_tensor(b)
-    k = p.shape[0]
+    k, width = p.shape
     if b.shape[0] != k:
         raise ShapeError(f"softmax_gram_matmul: {p.shape} and {b.shape} differ in rows")
     p_data, b_data = p.data, b.data
-    p_t = p_data.T.copy()
+    norms = np.sqrt(np.einsum("ij,ij->i", p_data, p_data))
+    bounds = norms * norms.max()
+    p_ones = np.ones((k, width + 1))        # [p, 1]
+    p_ones[:, :width] = p_data
+    b_ones = np.ones((k, b.shape[1] + 1))   # [b, 1]
+    b_ones[:, :-1] = b_data
     keep = recording((p, b))
-    a = np.empty((k if keep else min(GRAM_TILE, k), k))
+    rows = min(GRAM_TILE, k)
+    e = np.empty((k if keep else rows, k))
+    shifted = np.empty((rows, width + 1))   # a tile's rows of [p, -c]
+    product = np.empty((rows, b.shape[1] + 1))
     out = np.empty((k, b.shape[1]))
+    sums = np.empty((k, 1))
     for lo in range(0, k, GRAM_TILE):
         hi = min(lo + GRAM_TILE, k)
-        tile = a[lo:hi] if keep else a[:hi - lo]
-        np.matmul(p_data[lo:hi], p_t, out=tile)
-        tile -= tile.max(axis=1, keepdims=True)
-        np.exp(tile, out=tile)
-        tile /= tile.sum(axis=1, keepdims=True)
-        np.matmul(tile, b_data, out=out[lo:hi])
+        tile = e[lo:hi] if keep else e[:hi - lo]
+        lhs, rhs = shifted[:hi - lo], product[:hi - lo]
+        lhs[:, :width] = p_data[lo:hi]
+        np.negative(bounds[lo:hi], out=lhs[:, width])
+        np.matmul(lhs, p_ones.T, out=tile)
+        with np.errstate(over="ignore", invalid="ignore"):  # redone below
+            np.exp(tile, out=tile)
+            np.matmul(tile, b_ones, out=rhs)
+        if not (rhs[:, -1].min() >= GRAM_SUM_FLOOR and np.isfinite(rhs).all()):
+            np.matmul(p_data[lo:hi], p_data.T, out=tile)
+            tile -= tile.max(axis=1, keepdims=True)
+            np.exp(tile, out=tile)
+            np.matmul(tile, b_ones, out=rhs)
+        sums[lo:hi] = rhs[:, -1:]
+        np.divide(rhs[:, :-1], sums[lo:hi], out=out[lo:hi])
 
     def backward(g):
+        a = np.divide(e, sums, out=e)   # a tape runs backward once
         if b.requires_grad:
             b.accumulate(a.T @ g, fresh=True)
         if p.requires_grad:

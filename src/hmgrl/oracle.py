@@ -31,6 +31,8 @@ class FdConfig:
     def __post_init__(self):
         if self.h <= 0:
             raise ParameterError("finite-difference step must be > 0")
+        if self.sample_count < 1:
+            raise ParameterError(f"sample count must be >= 1, got {self.sample_count}")
 
 
 def finite_difference_grad(f, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
@@ -62,8 +64,8 @@ def gradcheck(loss_fn, params: dict, config: FdConfig | None = None,
 
     loss_fn() must rebuild the forward graph from the current parameter
     values and return a 1x1 loss tensor. Tensors with at most
-    config.full_sweep_size entries are swept fully; larger ones on
-    config.sample_count deterministically sampled coordinates.
+    config.full_sweep_size or config.sample_count entries are swept fully;
+    larger ones on config.sample_count deterministically sampled coordinates.
 
     Returns per-parameter records {max_rel_err, checked, ok}.
     """
@@ -89,7 +91,7 @@ def gradcheck(loss_fn, params: dict, config: FdConfig | None = None,
     report = {}
     for name, p in params.items():
         size = p.data.size
-        if size <= config.full_sweep_size:
+        if size <= max(config.full_sweep_size, config.sample_count):
             coords = list(np.ndindex(p.data.shape))
         else:
             flat = rng.choice(size, size=config.sample_count, replace=False)

@@ -581,6 +581,27 @@ def test_predict_needs_two_pairs_naming_file(synth_dir, tmp_path, capsys, lines)
     assert str(pairs) in err and f"got {lines}" in err
 
 
+def test_predict_self_pair_names_file_and_line(synth_dir, tmp_path, capsys):
+    from hmgrl.featurize import read_drug_table
+
+    ids = read_drug_table(synth_dir / "drugs.tsv").ids
+    pairs = tmp_path / "pairs.tsv"
+    pairs.write_text(f"{ids[0]}\t{ids[1]}\n{ids[2]}\t{ids[2]}\n")
+    # the checkpoint does not exist: the pairs file is rejected before it loads
+    code = run_cli("predict", "--drugs", synth_dir / "drugs.tsv",
+                   "--train-ddis", synth_dir / "ddis.tsv",
+                   "--checkpoint", tmp_path / "missing.ckpt", "--pairs", pairs)
+    err = capsys.readouterr().err
+    assert code == EXIT_DATA
+    assert f"{pairs}:2: a pair must join two distinct drugs" in err
+
+
+def test_gradcheck_rejects_a_sample_count_below_one(capsys):
+    assert run_cli("gradcheck", "--samples", -1) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def _checkpoint_records(blob: bytes):
     """(magic end, meta end, [(header start, header end, payload end)])."""
     from hmgrl.numkit import MAGIC

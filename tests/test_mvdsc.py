@@ -13,7 +13,7 @@ from hmgrl.mvdsc import (
     loss_orthogonality,
     mvdsc_forward,
 )
-from tests.test_numkit import fd_check
+from tests.test_numkit import fd_check, tiles_of_64  # noqa: F401 (fixture)
 
 
 def test_adjacency_rows_sum_to_one():
@@ -311,10 +311,10 @@ def test_mvdsc_end_to_end_gradients():
     fd_check(loss, list(params.values()), rel_tol=2e-4)
 
 
-def test_unregularized_views_match_the_kept_adjacency_route():
-    # regularize=False runs each head through the tiled softmax_gram_matmul;
-    # regularize=True builds and keeps every K x K adjacency. K = 200 spans
-    # four tiles, the last one ragged.
+def test_unregularized_views_match_the_kept_adjacency_route(tiles_of_64):
+    # with no tape each head runs through the tiled softmax_gram_matmul;
+    # under a tape (the parameters require grad) each builds and keeps its
+    # K x K adjacency. K = 200 spans four tiles of 64, the last one ragged.
     rng = np.random.default_rng(12)
     k, feat_dim = 200, 6
     seq_dims = {"targets": 4, "enzymes": 5, "substructures": 7}
@@ -322,7 +322,8 @@ def test_unregularized_views_match_the_kept_adjacency_route():
     sources = make_sources(rng, k, seq_dims)
     h = nk.constant(rng.normal(size=(k, feat_dim)))
     tiled = mvdsc_forward(h, sources, views, regularize=False)
-    dense = mvdsc_forward(h, sources, views, regularize=True)
+    with nk.Tape():
+        dense = mvdsc_forward(h, sources, views, regularize=True)
     assert tiled.regularizer is None and tiled.diagnostics == {}
     scale = np.abs(dense.representation.data).max()
     assert np.abs(tiled.representation.data
@@ -330,3 +331,37 @@ def test_unregularized_views_match_the_kept_adjacency_route():
     one_pair = {kind: m[:1] for kind, m in sources.items()}
     with pytest.raises(BatchSizeError):
         mvdsc_forward(nk.constant(h.data[:1]), one_pair, views, regularize=False)
+
+
+def test_views_route_by_tape_not_by_labels(monkeypatch):
+    import hmgrl.mvdsc as mvdsc
+
+    calls = []
+    for owner, name in ((nk, "softmax_gram_matmul"), (mvdsc, "dsc_adjacency")):
+        original = getattr(owner, name)
+
+        def spy(*args, _original=original, _name=name):
+            calls.append(_name)
+            return _original(*args)
+
+        monkeypatch.setattr(owner, name, spy)
+    rng = np.random.default_rng(14)
+    k, feat_dim, heads = 5, 4, 2
+    seq_dims = {"targets": 3, "enzymes": 4, "substructures": 6}
+    views = make_views(rng, feat_dim, seq_dims, c=2, m=heads, proj=3)
+    sources = make_sources(rng, k, seq_dims)
+    h = nk.constant(rng.normal(size=(k, feat_dim)))
+    per_route = len(VIEW_ORDER) * heads
+    for regularize in (True, False):
+        calls.clear()
+        with nk.Tape():
+            mvdsc_forward(h, sources, views, regularize=regularize)
+        assert calls == ["dsc_adjacency"] * per_route
+    calls.clear()
+    mvdsc_forward(h, sources, views, regularize=False)
+    assert calls == ["softmax_gram_matmul"] * per_route
+    calls.clear()
+    result = mvdsc_forward(h, sources, views, regularize=True)
+    assert sorted(calls) == (["dsc_adjacency"] * per_route
+                             + ["softmax_gram_matmul"] * per_route)
+    assert np.isfinite(result.regularizer.item())

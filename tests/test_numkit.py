@@ -1,5 +1,6 @@
 import ast
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from hmgrl import numkit as nk
 from hmgrl.errors import NumericError, ParameterError, ShapeError
+from hmgrl.numkit.ops import GRAM_SUM_FLOOR
 from hmgrl.numkit.optim import ADAM_CHUNK
 from hmgrl.oracle import finite_difference_grad
 
@@ -98,8 +100,14 @@ def dense_softmax_gram_matmul(p, b):
     return nk.matmul(nk.softmax_rows(nk.matmul(p, nk.transpose(p))), nk.constant(b))
 
 
+@pytest.fixture
+def tiles_of_64(monkeypatch):
+    """Tiles of 64 rows, so that small batches span several."""
+    monkeypatch.setattr(nk.ops, "GRAM_TILE", 64)
+
+
 @pytest.mark.parametrize("k", [2, 63, 64, 65, 200])
-def test_softmax_gram_matmul_matches_dense_formula(k):
+def test_softmax_gram_matmul_matches_dense_formula(k, tiles_of_64):
     # 63/64/65 sit at the tile edge; 200 ends in a ragged tile of 8 rows
     rng = np.random.default_rng(k)
     p = rng.normal(size=(k, 5))
@@ -112,7 +120,54 @@ def test_softmax_gram_matmul_matches_dense_formula(k):
     assert np.abs(kept - dense).max() <= 1e-12 * np.abs(dense).max()
 
 
-def test_softmax_gram_matmul_gradients():
+def _fallback_rows(p):
+    """Rows whose exponentials, shifted by the Cauchy-Schwarz bound
+    |p_i| max_j |p_j|, sum below GRAM_SUM_FLOOR (computed in log space)."""
+    norms = np.linalg.norm(p, axis=1)
+    shifted = p @ p.T - (norms * norms.max())[:, None]
+    top = shifted.max(axis=1)
+    log_sums = top + np.log(np.exp(shifted - top[:, None]).sum(axis=1))
+    return log_sums < np.log(GRAM_SUM_FLOOR)
+
+
+@pytest.mark.parametrize("wide_rows", [(3, 70, 150), ()])
+def test_softmax_gram_matmul_redoes_tiles_whose_bound_overshoots(wide_rows,
+                                                                tiles_of_64):
+    # at scale 30, and more so with a few rows x60, the bound sits far more
+    # than ~645 above most rows' true max, so their shifted sums underflow
+    rng = np.random.default_rng(13)
+    p = rng.normal(size=(200, 5)) * 30
+    p[list(wide_rows)] *= 60
+    b = rng.normal(size=(200, 3))
+    fallback = _fallback_rows(p)
+    tiles = [fallback[lo:lo + 64] for lo in range(0, 200, 64)]
+    assert any(t.any() and not t.all() for t in tiles)   # fallback and fast rows
+    dense = dense_softmax_gram_matmul(p, b).data
+    for tape in (False, True):
+        with (nk.Tape() if tape else nk.no_grad()):
+            tiled = nk.softmax_gram_matmul(nk.parameter(p), b).data
+        assert np.isfinite(tiled).all()
+        assert np.abs(tiled - dense).max() <= 1e-12 * np.abs(dense).max()
+
+
+def test_softmax_gram_matmul_redoes_tiles_that_overflow(tiles_of_64):
+    # K copies of one row make every bound exact, but at Gram entries of 1e20
+    # the GEMM's rounding of S - c lands up to ~1e4 on either side of zero:
+    # below, the floor catches it; above, exp overflows (some of these ten
+    # directions do, with x86 OpenBLAS)
+    rng = np.random.default_rng(0)
+    b = rng.normal(size=(200, 3))
+    for v in rng.normal(size=(10, 5)):
+        p = np.tile(v * 1e10 / np.linalg.norm(v), (200, 1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tiled = nk.softmax_gram_matmul(p, b).data
+        dense = dense_softmax_gram_matmul(p, b).data
+        assert np.isfinite(tiled).all()
+        assert np.abs(tiled - dense).max() <= 1e-12 * np.abs(dense).max()
+
+
+def test_softmax_gram_matmul_gradients(tiles_of_64):
     rng = np.random.default_rng(2)
     p = nk.parameter(rng.normal(size=(70, 3)))   # two tiles, the second ragged
     b = nk.parameter(rng.normal(size=(70, 4)))

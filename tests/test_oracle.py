@@ -3,9 +3,12 @@ import itertools
 import numpy as np
 import pytest
 
+from hmgrl import numkit as nk
 from hmgrl.errors import ParameterError, PartitionError, ValidationError
 from hmgrl.oracle import (
+    FdConfig,
     finite_difference_grad,
+    gradcheck,
     jacobi_eigh,
     metric_oracle,
     ncut_objective,
@@ -24,6 +27,21 @@ def test_fd_constant_function():
     x = np.array([[1.0, -2.0]])
     fd = finite_difference_grad(lambda: 5.0, x)
     assert np.array_equal(fd, np.zeros((1, 2)))
+
+
+def test_fd_config_rejects_a_sample_count_below_one():
+    for count in (0, -1):
+        with pytest.raises(ParameterError):
+            FdConfig(sample_count=count)
+
+
+@pytest.mark.parametrize("count,checked", [(79, 79), (80, 80), (100000, 80)])
+def test_gradcheck_sweeps_a_tensor_whole_once_the_sample_count_reaches_it(
+        count, checked):
+    x = nk.parameter(np.linspace(-1.0, 1.0, 80).reshape(8, 10))  # > full_sweep_size
+    report = gradcheck(lambda: nk.sum_all(nk.mul(x, x)), {"x": x},
+                       FdConfig(sample_count=count))
+    assert report["x"]["checked"] == checked and report["x"]["ok"]
 
 
 def test_ncut_disconnected_blocks_is_zero():
