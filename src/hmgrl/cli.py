@@ -165,7 +165,8 @@ def cmd_train(args) -> int:
         log_path = run_dir / "log" / f"fold{fold_index}.jsonl"
         with open(log_path, "w", encoding="utf-8") as log:
             def log_fn(record, _log=log):
-                _log.write(json.dumps(record.as_dict(), sort_keys=True) + "\n")
+                _log.write(json.dumps(dataclasses.asdict(record), sort_keys=True)
+                           + "\n")
 
             model, _, records = train_fold(cfg, dataset, plan.folds[fold_index],
                                            fold_index=fold_index, log_fn=log_fn)

@@ -67,6 +67,8 @@ class RunConfig:
 
     def __post_init__(self):
         self.folds = tuple(self.folds)
+        if len(set(self.folds)) != len(self.folds):
+            raise ParameterError(f"folds must not repeat an index, got {self.folds!r}")
         self.cnn_channels = tuple(self.cnn_channels)
         self.cnn_kernels = tuple(self.cnn_kernels)
         if self.batch_size < 2:

@@ -1,10 +1,9 @@
 """Multi-source pair-feature encoders.
 
-One 1-D CNN over each pair's stacked SMILES character indices plus four
-identical FC + attention encoders (embedding pairs, target/enzyme/substructure
-similarity pairs).
-Their outputs concatenate into the comprehensive pair feature, ordered
-(smiles, embedding, targets, enzymes, substructures).
+One 1-D CNN over each pair's stacked SMILES character indices plus
+identical FC + attention encoders (embedding pairs, and the similarity pairs
+of each descriptor kind). The model concatenates their outputs into the
+comprehensive pair feature.
 """
 
 from __future__ import annotations
@@ -166,10 +165,3 @@ class EncoderBlock:
         flat = nk.reshape(nk.add(normed, ffn), batch, width)
         return nk.add_rowvec(nk.matmul(flat, p[f"{self.prefix}.proj.w"]),
                              p[f"{self.prefix}.proj.b"])
-
-
-def assemble_comprehensive(h_smiles, h_embedding, h_targets, h_enzymes,
-                           h_substructures) -> nk.Tensor:
-    """Fixed-order concatenation of the five source encodings."""
-    return nk.concat_cols([h_smiles, h_embedding, h_targets, h_enzymes,
-                           h_substructures])

@@ -1,9 +1,9 @@
 """Drug attribute ingestion and pair-level feature primitives.
 
-Covers the drug-table file format, cosine-similarity features over binary
-descriptor sequences, the fixed 100-position SMILES character encoding
-(the index form of a 64x100 one-hot matrix), and summed per-pair attribute
-sequences.
+Covers the descriptor kinds, the drug-table file format, cosine-similarity
+features over binary descriptor sequences, the fixed 100-position SMILES
+character encoding (the index form of a 64x100 one-hot matrix), and summed
+per-pair attribute sequences.
 """
 
 from __future__ import annotations
@@ -27,6 +27,11 @@ SMILES_UNKNOWN = 63
 SMILES_CLASSES = 64
 SMILES_EMPTY = SMILES_CLASSES   # index of a padded position: no class at all
 SMILES_POSITIONS = 100
+
+# The binary descriptor kinds, in the order of every per-kind layer: the
+# table's columns, the similarity channels, the pair encoders and the
+# sequence clustering views.
+DESCRIPTOR_KINDS = ("targets", "enzymes", "substructures")
 
 assert len(SMILES_VOCAB) == SMILES_CLASSES - 1
 
@@ -56,7 +61,7 @@ class DrugTable:
         n = len(self.ids)
         if len(set(self.ids)) != n:
             raise ValidationError("drug ids must be unique")
-        for name in ("targets", "enzymes", "substructures"):
+        for name in DESCRIPTOR_KINDS:
             mat = np.asarray(getattr(self, name), dtype=np.int64)
             if mat.shape[0] != n:
                 raise ValidationError(f"{name} has {mat.shape[0]} rows for {n} drugs")
@@ -72,7 +77,7 @@ class DrugTable:
 
     @cached_property
     def similarity_graph(self):
-        """The DDSGraph of this table's three attribute similarities."""
+        """The DDSGraph of this table's per-kind attribute similarities."""
         from .graphcore import DDSGraph  # graphcore imports this module
 
         return DDSGraph.from_table(self)
@@ -102,14 +107,6 @@ def cosine_similarity_matrix(seqs) -> np.ndarray:
     sim[zero, :] = 0.0
     sim[:, zero] = 0.0
     return sim
-
-
-def attribute_similarities(table: DrugTable) -> dict[str, np.ndarray]:
-    return {
-        "targets": cosine_similarity_matrix(table.targets),
-        "enzymes": cosine_similarity_matrix(table.enzymes),
-        "substructures": cosine_similarity_matrix(table.substructures),
-    }
 
 
 def encode_smiles(s: str) -> np.ndarray:
@@ -208,26 +205,21 @@ def _parse_indices(text: str, row: np.ndarray, path, line_no) -> np.ndarray:
 def write_drug_table(path, table: DrugTable) -> None:
     """Canonical emission: header, then one tab-separated line per drug with
     sparse ascending descriptor indices. Re-ingesting is byte-identical."""
-    t, e, s = (table.targets.shape[1], table.enzymes.shape[1],
-               table.substructures.shape[1])
+    mats = [getattr(table, kind) for kind in DESCRIPTOR_KINDS]
+    sizes = [f"{kind}={mat.shape[1]}" for kind, mat in zip(DESCRIPTOR_KINDS, mats)]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"#universe\ttargets={t}\tenzymes={e}\tsubstructures={s}\n")
+        fh.write("\t".join(["#universe", *sizes]) + "\n")
         for i, drug_id in enumerate(table.ids):
-            fh.write("\t".join([
-                drug_id,
-                table.smiles[i],
-                _format_indices(table.targets[i]),
-                _format_indices(table.enzymes[i]),
-                _format_indices(table.substructures[i]),
-            ]) + "\n")
+            fh.write("\t".join([drug_id, table.smiles[i],
+                                *(_format_indices(mat[i]) for mat in mats)]) + "\n")
 
 
 def read_drug_table(path) -> DrugTable:
     lines = read_text_lines(path)
     parts = lines[0][1].split("\t") if lines and lines[0][0] == 1 else []
-    if len(parts) != 4 or parts[0] != "#universe":
-        raise DataError("bad header line (expected '#universe\\ttargets=..'"
-                        "\\tenzymes=..\\tsubstructures=..')", path, 1)
+    if len(parts) != 1 + len(DESCRIPTOR_KINDS) or parts[0] != "#universe":
+        raise DataError("bad header line (expected '#universe' and a tab-separated "
+                        f"kind=size for each of {DESCRIPTOR_KINDS})", path, 1)
     sizes = {}
     for piece in parts[1:]:
         key, _, value = piece.partition("=")
@@ -238,20 +230,20 @@ def read_drug_table(path) -> DrugTable:
         if size < 0:
             raise DataError(f"bad universe size {piece!r}", path, 1)
         sizes[key] = size
-    missing = {"targets", "enzymes", "substructures"} - sizes.keys()
+    missing = set(DESCRIPTOR_KINDS) - sizes.keys()
     if missing:
         raise DataError(f"header missing sizes for {sorted(missing)}", path, 1)
 
     if len(lines) < 2:
         raise DataError("drug table has no drugs", path)
     mats = [np.zeros((len(lines) - 1, sizes[kind]), dtype=np.int64)
-            for kind in ("targets", "enzymes", "substructures")]
+            for kind in DESCRIPTOR_KINDS]
     ids, smiles = [], []
     for i, (line_no, line) in enumerate(lines[1:]):
         fields = line.split("\t")
-        if len(fields) != 5:
-            raise DataError(f"expected 5 tab-separated fields, got {len(fields)}",
-                            path, line_no)
+        if len(fields) != 2 + len(mats):
+            raise DataError(f"expected {2 + len(mats)} tab-separated fields, "
+                            f"got {len(fields)}", path, line_no)
         ids.append(fields[0])
         smiles.append(fields[1])
         for mat, text in zip(mats, fields[2:]):

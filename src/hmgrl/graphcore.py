@@ -2,19 +2,22 @@
 relation-aware embedding passes built on them.
 
 The interaction graph holds one symmetric edge list per event type
-(training edges only); the similarity graph holds the three dense
-attribute-similarity adjacencies. Both are immutable after construction.
+(training edges only); the similarity graph holds one dense
+attribute-similarity adjacency per descriptor kind. Both are immutable after
+construction.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import numkit as nk
 from .errors import DataError, ShapeError, ValidationError
-from .featurize import DrugTable, attribute_similarities, read_text_lines
+from .featurize import (DESCRIPTOR_KINDS, DrugTable, cosine_similarity_matrix,
+                        read_text_lines)
 
 
 def normalize_adjacency(a: np.ndarray) -> np.ndarray:
@@ -112,34 +115,34 @@ class RelGraph:
 
 @dataclass
 class DDSGraph:
-    """Dense target/enzyme/substructure similarity adjacencies."""
+    """Dense similarity adjacencies, one per descriptor kind, keyed in
+    DESCRIPTOR_KINDS order."""
 
-    targets: np.ndarray
-    enzymes: np.ndarray
-    substructures: np.ndarray
+    similarities: dict[str, np.ndarray]
     normalized: dict = field(init=False, repr=False)
 
     def __post_init__(self):
-        for name in ("targets", "enzymes", "substructures"):
-            m = np.asarray(getattr(self, name), dtype=np.float64)
+        if tuple(self.similarities) != DESCRIPTOR_KINDS:
+            raise ValidationError(f"similarities must be keyed {DESCRIPTOR_KINDS} in "
+                                  f"order, got {tuple(self.similarities)}")
+        checked = {}
+        for name, sim in self.similarities.items():
+            m = np.asarray(sim, dtype=np.float64)
             if m.ndim != 2 or m.shape[0] != m.shape[1]:
                 raise ValidationError(f"{name}: similarity matrix must be square")
             if not np.allclose(m, m.T, atol=1e-12):
                 raise ValidationError(f"{name}: similarity matrix must be symmetric")
             if m.min() < -1e-12 or m.max() > 1 + 1e-12:
                 raise ValidationError(f"{name}: similarities must lie in [0, 1]")
-            setattr(self, name, m)
-        self.normalized = {
-            "targets": normalize_adjacency(self.targets),
-            "enzymes": normalize_adjacency(self.enzymes),
-            "substructures": normalize_adjacency(self.substructures),
-        }
+            checked[name] = m
+        self.similarities = checked
+        self.normalized = {name: normalize_adjacency(m) for name, m in checked.items()}
 
     @classmethod
     def from_table(cls, table: DrugTable) -> "DDSGraph":
         """Dense: every pair of drugs is linked by its attribute similarity."""
-        sims = attribute_similarities(table)
-        return cls(sims["targets"], sims["enzymes"], sims["substructures"])
+        return cls({kind: cosine_similarity_matrix(getattr(table, kind))
+                    for kind in DESCRIPTOR_KINDS})
 
 
 # ------------------------------------------------------------- forward passes
@@ -169,15 +172,15 @@ def rgcn_forward(graph: RelGraph, x, rel_weights, self_weight) -> nk.Tensor:
 def dds_propagate(dds: DDSGraph, embeddings, hops: int):
     """Diffuse embeddings over each similarity channel for `hops` rounds.
 
-    Returns the (targets, enzymes, substructures) channel results; 0 hops
-    returns the input unchanged in all three channels.
+    Returns one channel result per descriptor kind, in DESCRIPTOR_KINDS
+    order; 0 hops returns the input unchanged in every channel.
     """
     if hops < 0:
         raise ValidationError(f"hop count must be >= 0, got {hops}")
     embeddings = nk.as_tensor(embeddings)
     out = []
-    for name in ("targets", "enzymes", "substructures"):
-        adj = nk.constant(dds.normalized[name])
+    for normalized in dds.normalized.values():
+        adj = nk.constant(normalized)
         cur = embeddings
         for _ in range(hops):
             cur = nk.matmul(adj, cur)
@@ -185,12 +188,11 @@ def dds_propagate(dds: DDSGraph, embeddings, hops: int):
     return tuple(out)
 
 
-def fuse_ragse(channels, w_targets, w_enzymes, w_substructures) -> nk.Tensor:
-    """Blend the three propagated channels into the final drug embeddings."""
-    ch_t, ch_e, ch_s = channels
-    mixed = nk.add(nk.add(nk.matmul(ch_t, w_targets), nk.matmul(ch_e, w_enzymes)),
-                   nk.matmul(ch_s, w_substructures))
-    return nk.relu(mixed)
+def fuse_ragse(channels, weights) -> nk.Tensor:
+    """Blend the propagated channels into the final drug embeddings:
+    relu(sum_i channels[i] @ weights[i]), summed left to right."""
+    return nk.relu(functools.reduce(nk.add, (
+        nk.matmul(ch, w) for ch, w in zip(channels, weights, strict=True))))
 
 
 # ------------------------------------------------------------------ file I/O

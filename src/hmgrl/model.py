@@ -9,14 +9,13 @@ take one optimizer step on cross-entropy plus the weighted regularizer.
 from __future__ import annotations
 
 import time
-from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import numkit as nk
 from .config import RunConfig
-from .encoders import CnnBlock, EncoderBlock, assemble_comprehensive
+from .encoders import CnnBlock, EncoderBlock
 from .errors import (
     BatchSizeError,
     DataError,
@@ -27,6 +26,7 @@ from .errors import (
 )
 from .evaluate import Fold
 from .featurize import (
+    DESCRIPTOR_KINDS,
     DrugTable,
     encode_smiles_table,
     pair_attribute_sequence,
@@ -74,16 +74,6 @@ class TrainRecord:
     degenerate_heads: int
     wall_time: float
 
-    def as_dict(self) -> dict:
-        return {
-            "epoch": self.epoch, "batch": self.batch,
-            "loss_ce": self.loss_ce, "loss_dsc": self.loss_dsc,
-            "loss_total": self.loss_total,
-            "view_diagnostics": self.view_diagnostics,
-            "degenerate_heads": self.degenerate_heads,
-            "wall_time": self.wall_time,
-        }
-
 
 @dataclass
 class ForwardResult:
@@ -92,7 +82,6 @@ class ForwardResult:
     view_diagnostics: dict
     loss_ce: nk.Tensor | None = None
     loss_total: nk.Tensor | None = None
-    labels_used: np.ndarray | None = None
 
 
 class _NoDraws:
@@ -103,25 +92,6 @@ class _NoDraws:
     @staticmethod
     def uniform(low, high, size):
         return np.broadcast_to(np.float64(0.0), size)
-
-
-class _PairSequences(Mapping):
-    """The batch's pair attribute sequences by descriptor kind. Each K x T
-    block is built when it is read, so a clustering view holds only its own
-    and, without a tape, frees it before the next view runs."""
-
-    def __init__(self, table: DrugTable, us: np.ndarray, vs: np.ndarray):
-        self.table, self.us, self.vs = table, us, vs
-
-    def __getitem__(self, kind: str) -> np.ndarray:
-        mat = getattr(self.table, kind)
-        return pair_attribute_sequence(mat[self.us], mat[self.vs])
-
-    def __iter__(self):
-        return iter(("targets", "enzymes", "substructures"))
-
-    def __len__(self) -> int:
-        return 3
 
 
 class HmgrlModel:
@@ -141,14 +111,15 @@ class HmgrlModel:
         # constant table-level features
         self.dds = table.similarity_graph
         self.initial_features = np.hstack(   # N x 3N
-            [self.dds.targets, self.dds.enzymes, self.dds.substructures])
+            list(self.dds.similarities.values()))
         self.smiles_index = encode_smiles_table(table.smiles)  # N x 100
 
         d_in = self.initial_features.shape[1]
         d_embed = config.embed_dim
         d_att = config.attention_dim
         d_emb_out = config.embedding_encoder_dim
-        self.feature_dim = 4 * d_att + d_emb_out
+        # the SMILES CNN and each descriptor kind's encoder give d_att columns
+        self.feature_dim = (1 + len(DESCRIPTOR_KINDS)) * d_att + d_emb_out
 
         self.params: dict[str, nk.Tensor] = {}
 
@@ -164,8 +135,8 @@ class HmgrlModel:
             self.params[f"rgcn{layer}.self"] = own
             self.rgcn_layers.append((rel, own))
 
-        for name in ("targets", "enzymes", "substructures"):
-            self.params[f"fuse.{name}"] = nk.xavier_uniform(init_rng, d_embed, d_embed)
+        for kind in DESCRIPTOR_KINDS:
+            self.params[f"fuse.{kind}"] = nk.xavier_uniform(init_rng, d_embed, d_embed)
 
         self.cnn = CnnBlock.build(init_rng, "cnn", config.cnn_channels,
                                   config.cnn_kernels, d_att)
@@ -173,30 +144,20 @@ class HmgrlModel:
 
         enc_kw = dict(token_count=config.token_count, token_dim=config.token_dim,
                       n_heads=config.attn_heads)
-        self.enc_embedding = EncoderBlock.build(init_rng, "enc_emb",
-                                                in_dim=2 * d_embed,
-                                                out_dim=d_emb_out, **enc_kw)
-        self.enc_targets = EncoderBlock.build(init_rng, "enc_tar",
-                                              in_dim=2 * self.n_drugs,
-                                              out_dim=d_att, **enc_kw)
-        self.enc_enzymes = EncoderBlock.build(init_rng, "enc_enz",
-                                              in_dim=2 * self.n_drugs,
-                                              out_dim=d_att, **enc_kw)
-        self.enc_substructures = EncoderBlock.build(init_rng, "enc_sub",
-                                                    in_dim=2 * self.n_drugs,
-                                                    out_dim=d_att, **enc_kw)
-        for enc in (self.enc_embedding, self.enc_targets, self.enc_enzymes,
-                    self.enc_substructures):
+        # the embedding-pair encoder, then one per descriptor kind
+        self.encoders = {"embedding": EncoderBlock.build(
+            init_rng, "enc_emb", in_dim=2 * d_embed, out_dim=d_emb_out, **enc_kw)}
+        for kind in DESCRIPTOR_KINDS:
+            self.encoders[kind] = EncoderBlock.build(
+                init_rng, f"enc_{kind[:3]}", in_dim=2 * self.n_drugs,
+                out_dim=d_att, **enc_kw)
+        for enc in self.encoders.values():
             self.params.update(enc.params)
 
-        seq_dims = {
-            "targets": table.targets.shape[1],
-            "enzymes": table.enzymes.shape[1],
-            "substructures": table.substructures.shape[1],
-        }
         self.views = {}
         for kind in VIEW_ORDER:
-            src_dim = self.feature_dim if kind == "comprehensive" else seq_dims[kind]
+            src_dim = (self.feature_dim if kind == "comprehensive"
+                       else getattr(table, kind).shape[1])
             self.views[kind] = DscView.build(
                 init_rng, f"dsc_{kind[:4]}", kind, src_dim, self.feature_dim,
                 n_clusters=config.dsc_clusters, n_heads=config.dsc_heads,
@@ -205,7 +166,7 @@ class HmgrlModel:
 
         hidden = config.decoder_hidden
         self.params["decoder.fc1.w"] = nk.xavier_uniform(
-            init_rng, 4 * self.feature_dim, hidden)
+            init_rng, len(VIEW_ORDER) * self.feature_dim, hidden)
         self.params["decoder.fc1.b"] = nk.parameter(np.zeros((1, hidden)))
         self.params["decoder.fc2.w"] = nk.xavier_uniform(init_rng, hidden, n_relations)
         self.params["decoder.fc2.b"] = nk.parameter(np.zeros((1, n_relations)))
@@ -242,25 +203,20 @@ class HmgrlModel:
         for rel, own in self.rgcn_layers:
             x = rgcn_forward(graph, x, rel, own)
         channels = dds_propagate(self.dds, x, self.config.propagation_hops)
-        return fuse_ragse(channels, self.params["fuse.targets"],
-                          self.params["fuse.enzymes"],
-                          self.params["fuse.substructures"])
+        return fuse_ragse(channels, [self.params[f"fuse.{kind}"]
+                                     for kind in DESCRIPTOR_KINDS])
 
     def comprehensive_features(self, embeddings: nk.Tensor, us: np.ndarray,
                                vs: np.ndarray) -> nk.Tensor:
-        h_smi = self.cnn.forward(self.smiles_index, us, vs)
-        emb_pair = nk.concat_cols([nk.gather_rows(embeddings, us),
-                                   nk.gather_rows(embeddings, vs)])
-        h_emb = self.enc_embedding.forward(emb_pair)
-
-        def similarity_rows(sims):
-            return nk.constant(np.hstack([sims[us], sims[vs]]))
-
-        h_tar = self.enc_targets.forward(similarity_rows(self.dds.targets))
-        h_enz = self.enc_enzymes.forward(similarity_rows(self.dds.enzymes))
-        h_sub = self.enc_substructures.forward(
-            similarity_rows(self.dds.substructures))
-        return assemble_comprehensive(h_smi, h_emb, h_tar, h_enz, h_sub)
+        """The five source encodings side by side: SMILES, embedding pair,
+        then each descriptor kind's similarity pair in DESCRIPTOR_KINDS order."""
+        parts = [self.cnn.forward(self.smiles_index, us, vs),
+                 self.encoders["embedding"].forward(nk.concat_cols(
+                     [nk.gather_rows(embeddings, us), nk.gather_rows(embeddings, vs)]))]
+        for kind, sims in self.dds.similarities.items():
+            parts.append(self.encoders[kind].forward(
+                nk.constant(np.hstack([sims[us], sims[vs]]))))
+        return nk.concat_cols(parts)
 
     def decode(self, representation: nk.Tensor, training: bool,
                dropout_rng: np.random.Generator | None) -> nk.Tensor:
@@ -304,15 +260,18 @@ class HmgrlModel:
                 features, labels, mixup_rng, self.config.mixup_alpha)
             us, vs = us[dominant], vs[dominant]  # only the views read them on
 
+        def sequence_of(kind):   # each view builds its K x T block when it runs
+            mat = getattr(self.table, kind)
+            return pair_attribute_sequence(mat[us], mat[vs])
+
         # without labels no loss is formed, so the views skip their regularizers
-        clustered = mvdsc_forward(features, _PairSequences(self.table, us, vs),
-                                  self.views, regularize=labels_used is not None)
+        clustered = mvdsc_forward(features, sequence_of, self.views,
+                                  regularize=labels_used is not None)
         probs = self.decode(clustered.representation, training, dropout_rng)
 
         result = ForwardResult(probabilities=probs,
                                regularizer=clustered.regularizer,
-                               view_diagnostics=clustered.diagnostics,
-                               labels_used=labels_used)
+                               view_diagnostics=clustered.diagnostics)
         if labels_used is not None:
             result.loss_ce = loss_ce(probs, labels_used)
             result.loss_total = total_loss(result.loss_ce, clustered.regularizer,

@@ -1,8 +1,8 @@
 """Multi-view differentiable spectral clustering over a batch of drug pairs.
 
 Four views share one construction: learned multi-head adjacencies over a
-per-view source (the comprehensive features, or the summed target / enzyme /
-substructure sequences), relu graph-cut assignments, a residual output mix,
+per-view source (the comprehensive features, or the summed pair sequences of
+one descriptor kind), relu graph-cut assignments, a residual output mix,
 and two unsupervised regularizers derived from the normalized-cut objective.
 No eigendecomposition happens here; the classical route lives in `oracle`.
 """
@@ -15,8 +15,9 @@ import numpy as np
 
 from . import numkit as nk
 from .errors import BatchSizeError, ShapeError
+from .featurize import DESCRIPTOR_KINDS
 
-VIEW_ORDER = ("comprehensive", "targets", "enzymes", "substructures")
+VIEW_ORDER = ("comprehensive", *DESCRIPTOR_KINDS)
 
 
 @dataclass
@@ -153,15 +154,15 @@ def view_forward(view: DscView, source, features, keep_adjacencies: bool):
     return output, assignments, adjacencies
 
 
-def mvdsc_forward(features, sequence_sources: dict, views: dict,
+def mvdsc_forward(features, sequence_of, views: dict,
                   regularize: bool = True) -> MvdscResult:
     """Run the four views and merge them in fixed order.
 
-    features: K x d tensor (comprehensive pair features); sequence_sources
-    maps 'targets'/'enzymes'/'substructures' to constant K x * matrices.
-    The comprehensive view sources from `features` itself. With
-    `regularize` false no loss is formed, so the result carries no
-    regularizer and no diagnostics.
+    features: K x d tensor (comprehensive pair features); sequence_of(kind)
+    returns the K x * pair sequence matrix of a descriptor kind, called only
+    when that kind's view runs. The comprehensive view sources from
+    `features` itself. With `regularize` false no loss is formed, so the
+    result carries no regularizer and no diagnostics.
     """
     outputs = []
     diagnostics = {}
@@ -172,7 +173,7 @@ def mvdsc_forward(features, sequence_sources: dict, views: dict,
         # freed before the next view builds its own
         output, assignments, adjacencies = view_forward(
             view, features if kind == "comprehensive"
-            else nk.constant(sequence_sources[kind]),
+            else nk.constant(sequence_of(kind)),
             features, keep_adjacencies=regularize)
         outputs.append(output)
         if not regularize:

@@ -35,6 +35,21 @@ class FdConfig:
             raise ParameterError(f"sample count must be >= 1, got {self.sample_count}")
 
 
+def _central_difference(f, x: np.ndarray, idx, h: float) -> float:
+    """(f(x + h e_idx) - f(x - h e_idx)) / 2h for scalar f of the array x,
+    which is mutated in place and then restored. A non-finite f value raises
+    NumericError."""
+    orig = x[idx]
+    x[idx] = orig + h
+    f_plus = f()
+    x[idx] = orig - h
+    f_minus = f()
+    x[idx] = orig
+    if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
+        raise NumericError(f"f not finite near coordinate {idx}")
+    return (f_plus - f_minus) / (2.0 * h)
+
+
 def finite_difference_grad(f, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
     """Central differences of scalar f at every coordinate of x.
 
@@ -43,18 +58,8 @@ def finite_difference_grad(f, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
     """
     x = np.asarray(x, dtype=np.float64)
     out = np.zeros_like(x)
-    it = np.nditer(x, flags=["multi_index"])
-    for _ in it:
-        idx = it.multi_index
-        orig = x[idx]
-        x[idx] = orig + h
-        f_plus = f()
-        x[idx] = orig - h
-        f_minus = f()
-        x[idx] = orig
-        if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
-            raise NumericError(f"f not finite near coordinate {idx}")
-        out[idx] = (f_plus - f_minus) / (2.0 * h)
+    for idx in np.ndindex(x.shape):
+        out[idx] = _central_difference(f, x, idx, h)
     return out
 
 
@@ -67,7 +72,9 @@ def gradcheck(loss_fn, params: dict, config: FdConfig | None = None,
     config.full_sweep_size or config.sample_count entries are swept fully;
     larger ones on config.sample_count deterministically sampled coordinates.
 
-    Returns per-parameter records {max_rel_err, checked, ok}.
+    Returns per-parameter records {max_rel_err, checked, ok}. A non-finite
+    analytic entry makes max_rel_err NaN and fails the check; a non-finite
+    loss near a checked coordinate raises NumericError.
     """
     from .numkit import Tape
 
@@ -96,18 +103,15 @@ def gradcheck(loss_fn, params: dict, config: FdConfig | None = None,
         else:
             flat = rng.choice(size, size=config.sample_count, replace=False)
             coords = [np.unravel_index(i, p.data.shape) for i in sorted(flat)]
-        max_rel = 0.0
+        errors = []
         for idx in coords:
-            orig = p.data[idx]
-            p.data[idx] = orig + config.h
-            f_plus = eval_loss()
-            p.data[idx] = orig - config.h
-            f_minus = eval_loss()
-            p.data[idx] = orig
-            fd = (f_plus - f_minus) / (2.0 * config.h)
+            try:
+                fd = _central_difference(eval_loss, p.data, idx, config.h)
+            except NumericError as err:
+                raise NumericError(f"{name}: {err}") from None
             an = analytic[name][idx]
-            denom = max(abs(fd), abs(an), config.abs_tol)
-            max_rel = max(max_rel, abs(fd - an) / denom)
+            errors.append(abs(fd - an) / max(abs(fd), abs(an), config.abs_tol))
+        max_rel = float(np.max(errors, initial=0.0))   # NaN propagates
         report[name] = {
             "max_rel_err": max_rel,
             "checked": len(coords),

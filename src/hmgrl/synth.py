@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .featurize import SMILES_POSITIONS, DrugTable
+from .featurize import DESCRIPTOR_KINDS, SMILES_POSITIONS, DrugTable
 
 _SMILES_BASE = "CNOPSFcno123()=#-"
 
@@ -37,7 +37,7 @@ class SynthSpec:
             raise ParameterError("need at least 4 drugs")
         if self.n_events < 2:
             raise ParameterError("need at least 2 event types")
-        for name in ("targets_size", "enzymes_size", "substructures_size"):
+        for name in (f"{kind}_size" for kind in DESCRIPTOR_KINDS):
             if getattr(self, name) < 1:
                 raise ParameterError(f"{name} must be >= 1, got {getattr(self, name)!r}")
         if not math.isfinite(self.density):
@@ -75,9 +75,8 @@ def generate(spec: SynthSpec) -> tuple[DrugTable, list]:
                 rows[i, rng.integers(0, size)] = 1
         return rows
 
-    targets = class_attribute(spec.targets_size)
-    enzymes = class_attribute(spec.enzymes_size)
-    substructures = class_attribute(spec.substructures_size)
+    descriptors = {kind: class_attribute(getattr(spec, f"{kind}_size"))
+                   for kind in DESCRIPTOR_KINDS}
 
     motifs = ["".join(rng.choice(list(_SMILES_BASE), size=8))
               for _ in range(spec.n_classes)]
@@ -90,13 +89,8 @@ def generate(spec: SynthSpec) -> tuple[DrugTable, list]:
         s = (body[:pos] + motifs[classes[i]] + body[pos:])[:SMILES_POSITIONS]
         smiles.append(s)
 
-    table = DrugTable(
-        ids=[f"SYN{i:04d}" for i in range(spec.n_drugs)],
-        smiles=smiles,
-        targets=targets,
-        enzymes=enzymes,
-        substructures=substructures,
-    )
+    table = DrugTable(ids=[f"SYN{i:04d}" for i in range(spec.n_drugs)],
+                      smiles=smiles, **descriptors)
 
     # symmetric class-pair rule table covering every event at least once
     slots = [(a, b) for a in range(spec.n_classes) for b in range(a, spec.n_classes)]

@@ -562,6 +562,25 @@ def test_out_of_range_fold_index_is_usage_error(synth_dir, tmp_path, capsys):
                    "--out", run_dir) == EXIT_USAGE
 
 
+def test_repeated_fold_index_is_usage_error(synth_dir, tmp_path, capsys):
+    from hmgrl.config import apply_preset
+
+    train = ("train", "--drugs", synth_dir / "drugs.tsv", "--ddis",
+             synth_dir / "ddis.tsv", "--preset", "micro", "--folds", 3)
+    run_dir = tmp_path / "run"
+    assert run_cli(*train, "--only-folds", "0,0", "--out", run_dir) == EXIT_USAGE
+    assert "repeat" in capsys.readouterr().err
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"folds": [1, 2, 1]}))
+    assert run_cli(*train, "--config", config, "--out", run_dir) == EXIT_USAGE
+    assert not run_dir.exists()  # rejected before any work
+    stored = tmp_path / "stored"
+    (stored / "config").mkdir(parents=True)
+    (stored / "config" / "config.json").write_text(json.dumps(
+        {**apply_preset("micro").as_dict(), "folds": [0, 0]}))
+    assert run_cli("eval", "--run", stored) == EXIT_USAGE
+
+
 @pytest.mark.parametrize("lines", [0, 1])
 def test_predict_needs_two_pairs_naming_file(synth_dir, tmp_path, capsys, lines):
     from hmgrl.config import apply_preset

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hmgrl import numkit as nk
-from hmgrl.encoders import CnnBlock, EncoderBlock, assemble_comprehensive
+from hmgrl.encoders import CnnBlock, EncoderBlock
 from hmgrl.errors import ShapeError
 from hmgrl.featurize import SMILES_EMPTY, encode_smiles
 from tests.test_numkit import fd_check
@@ -219,16 +219,4 @@ def test_published_dims_line_up():
     assert h_tar.shape == (k, 200)
     blocks = [nk.constant(np.zeros((k, 200))), h_emb, h_tar,
               nk.constant(np.zeros((k, 200))), nk.constant(np.zeros((k, 200)))]
-    assert assemble_comprehensive(*blocks).shape == (k, 2300)
-
-
-def test_assemble_comprehensive_order_and_zero():
-    a = nk.constant([[1.0, 2.0]])
-    b = nk.constant([[3.0]])
-    c = nk.constant([[4.0]])
-    d = nk.constant([[5.0]])
-    e = nk.constant([[6.0]])
-    out = assemble_comprehensive(a, b, c, d, e)
-    assert np.array_equal(out.data, [[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]])
-    zeros = [nk.constant(np.zeros((2, 3))) for _ in range(5)]
-    assert np.array_equal(assemble_comprehensive(*zeros).data, np.zeros((2, 15)))
+    assert nk.concat_cols(blocks).shape == (k, 2300)

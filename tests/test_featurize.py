@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -7,6 +10,7 @@ from hmgrl import featurize
 from hmgrl.config import apply_preset
 from hmgrl.errors import DataError, UnknownDrugError, ValidationError
 from hmgrl.featurize import (
+    DESCRIPTOR_KINDS,
     SMILES_CLASSES,
     SMILES_EMPTY,
     SMILES_POSITIONS,
@@ -270,3 +274,16 @@ def test_graph_shape_table_never_takes_the_per_piece_parse(tmp_path, monkeypatch
         mine, theirs = getattr(loaded, name), getattr(table, name)
         assert mine.dtype == theirs.dtype and mine.shape == theirs.shape
         assert mine.tobytes() == theirs.tobytes(), name
+
+
+def test_descriptor_kinds_are_named_only_in_featurize():
+    # every other module loops over DESCRIPTOR_KINDS instead of naming a kind
+    named = {}
+    for path in sorted(Path(featurize.__file__).parent.rglob("*.py")):
+        if path.name == "featurize.py":
+            continue
+        lines = [node.lineno for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, ast.Constant) and node.value in DESCRIPTOR_KINDS]
+        if lines:
+            named[path.name] = lines
+    assert named == {}

@@ -3,7 +3,7 @@ import pytest
 
 from hmgrl import numkit as nk
 from hmgrl.errors import DataError, ValidationError
-from hmgrl.featurize import DrugTable
+from hmgrl.featurize import DESCRIPTOR_KINDS, DrugTable
 from hmgrl.graphcore import (
     DDSGraph,
     RelGraph,
@@ -289,7 +289,18 @@ def test_relgraph_rejects_out_of_range_indices():
 
 
 def dds_from_sims(t, e, s):
-    return DDSGraph(np.asarray(t, float), np.asarray(e, float), np.asarray(s, float))
+    return DDSGraph({kind: np.asarray(m, float)
+                     for kind, m in zip(DESCRIPTOR_KINDS, (t, e, s))})
+
+
+def test_dds_graph_needs_one_similarity_per_kind_in_order():
+    eye = np.eye(3)
+    swapped = dict(zip(DESCRIPTOR_KINDS[::-1], (eye, eye, eye)))
+    for sims in (swapped, dict(zip(DESCRIPTOR_KINDS[:2], (eye, eye))),
+                 {**dict.fromkeys(DESCRIPTOR_KINDS, eye), "extra": eye}):
+        with pytest.raises(ValidationError, match="keyed"):
+            DDSGraph(sims)
+    assert list(dds_from_sims(eye, eye, eye).normalized) == list(DESCRIPTOR_KINDS)
 
 
 def test_dds_propagate_zero_hops_is_identity():
@@ -325,8 +336,8 @@ def test_fuse_ragse_zero_weights_and_passthrough():
     chans = tuple(nk.constant(np.abs(rng.normal(size=(4, 3)))) for _ in range(3))
     zero = nk.constant(np.zeros((3, 3)))
     eye = nk.constant(np.eye(3))
-    assert np.allclose(fuse_ragse(chans, zero, zero, zero).data, 0.0)
-    assert np.allclose(fuse_ragse(chans, eye, zero, zero).data, chans[0].data)
+    assert np.allclose(fuse_ragse(chans, [zero, zero, zero]).data, 0.0)
+    assert np.allclose(fuse_ragse(chans, [eye, zero, zero]).data, chans[0].data)
 
 
 def test_fuse_ragse_gradient_wrt_enzyme_weight():
@@ -337,7 +348,7 @@ def test_fuse_ragse_gradient_wrt_enzyme_weight():
     w_s = nk.parameter(rng.normal(size=(3, 3)))
 
     def loss():
-        return nk.sum_all(fuse_ragse(chans, w_t, w_e, w_s))
+        return nk.sum_all(fuse_ragse(chans, [w_t, w_e, w_s]))
 
     fd_check(loss, [w_e])
 
@@ -363,7 +374,7 @@ def test_cold_start_repair():
     dds = DDSGraph.from_table(table)
     channels = dds_propagate(dds, bar, 1)
     eye = nk.constant(np.eye(4))
-    fused = fuse_ragse(channels, eye, eye, eye)
+    fused = fuse_ragse(channels, [eye, eye, eye])
     assert np.abs(fused.data[2]).max() > 0.0
 
 

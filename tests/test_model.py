@@ -6,7 +6,7 @@ import weakref
 import numpy as np
 import pytest
 
-from hmgrl import featurize
+from hmgrl import featurize, graphcore
 from hmgrl import model as model_module
 from hmgrl import numkit as nk
 from hmgrl.config import apply_preset
@@ -280,6 +280,34 @@ def test_unlabelled_predict_holds_one_pair_sequence_block_at_a_time(monkeypatch)
         assert np.array_equal(block, expected[name]), name
 
 
+def test_comprehensive_features_order_the_five_sources():
+    # zeroing one source's output head zeroes exactly its column block:
+    # SMILES, embedding pair, then one block per descriptor kind
+    data = micro_dataset()
+    model = HmgrlModel(micro_config(embedding_encoder_dim=5), data.table,
+                       data.n_relations, seed=5)
+    graph = RelGraph.from_triples(data.n_drugs, data.n_relations, data.triples)
+    kinds = featurize.DESCRIPTOR_KINDS
+    d_att = model.config.attention_dim
+    starts = np.cumsum([0, d_att, 5] + [d_att] * len(kinds))
+    heads = ["cnn", "enc_emb"] + [f"enc_{kind[:3]}" for kind in kinds]
+    us, vs = np.array([0, 1, 2]), np.array([3, 4, 5])
+    with nk.no_grad():
+        embeddings = model.drug_embeddings(graph)
+        assert model.comprehensive_features(embeddings, us, vs).shape == (3, starts[-1])
+        for block, head in enumerate(heads):
+            saved = {name: model.params[name].data
+                     for name in (f"{head}.proj.w", f"{head}.proj.b")}
+            for name, arr in saved.items():
+                model.params[name].data = np.zeros_like(arr)
+            out = model.comprehensive_features(embeddings, us, vs).data
+            for name, arr in saved.items():
+                model.params[name].data = arr
+            zero = [j for j in range(len(heads))
+                    if not out[:, starts[j]:starts[j + 1]].any()]
+            assert zero == [block], head
+
+
 def test_train_record_total_is_affine_combination():
     data = micro_dataset()
     cfg = micro_config(epochs=2, batch_size=8)
@@ -375,8 +403,8 @@ def test_load_model_draws_no_initialization(tmp_path, monkeypatch):
 def test_models_on_one_table_share_its_similarity_graph(tmp_path, monkeypatch):
     data = micro_dataset()
     calls = []
-    cosine = featurize.cosine_similarity_matrix
-    monkeypatch.setattr(featurize, "cosine_similarity_matrix",
+    cosine = graphcore.cosine_similarity_matrix
+    monkeypatch.setattr(graphcore, "cosine_similarity_matrix",
                         lambda m: calls.append(1) or cosine(m))
     path = tmp_path / "m.ckpt"
     save_model(path, HmgrlModel(micro_config(), data.table, data.n_relations, seed=4))

@@ -255,7 +255,7 @@ def test_mvdsc_forward_shape_and_regularizer_arithmetic():
     views = make_views(rng, feat_dim, seq_dims)
     sources = make_sources(rng, k, seq_dims)
     h = nk.constant(rng.normal(size=(k, feat_dim)))
-    result = mvdsc_forward(h, sources, views)
+    result = mvdsc_forward(h, sources.__getitem__, views)
     assert result.representation.shape == (k, 4 * feat_dim)
     recomputed = np.mean([result.diagnostics[kind]["graph_cut"]
                           + result.diagnostics[kind]["orthogonality"]
@@ -282,9 +282,9 @@ def test_mvdsc_view_locality():
     views = make_views(rng, feat_dim, seq_dims)
     sources = make_sources(rng, k, seq_dims)
     h = nk.constant(rng.normal(size=(k, feat_dim)))
-    before = mvdsc_forward(h, sources, views).representation.data.copy()
+    before = mvdsc_forward(h, sources.__getitem__, views).representation.data.copy()
     views["targets"].params["dsc.targets.mix"].data += 0.5
-    after = mvdsc_forward(h, sources, views).representation.data
+    after = mvdsc_forward(h, sources.__getitem__, views).representation.data
     assert np.array_equal(before[:, :feat_dim], after[:, :feat_dim])
     assert not np.array_equal(before[:, feat_dim:2 * feat_dim],
                               after[:, feat_dim:2 * feat_dim])
@@ -304,7 +304,7 @@ def test_mvdsc_end_to_end_gradients():
         params.update(v.params)
 
     def loss():
-        result = mvdsc_forward(nk.constant(h_base), sources, views)
+        result = mvdsc_forward(nk.constant(h_base), sources.__getitem__, views)
         fit = nk.sum_all(nk.mul(result.representation, nk.constant(w)))
         return nk.add(fit, result.regularizer)
 
@@ -321,16 +321,17 @@ def test_unregularized_views_match_the_kept_adjacency_route(tiles_of_64):
     views = make_views(rng, feat_dim, seq_dims, c=3, m=2, proj=4)
     sources = make_sources(rng, k, seq_dims)
     h = nk.constant(rng.normal(size=(k, feat_dim)))
-    tiled = mvdsc_forward(h, sources, views, regularize=False)
+    tiled = mvdsc_forward(h, sources.__getitem__, views, regularize=False)
     with nk.Tape():
-        dense = mvdsc_forward(h, sources, views, regularize=True)
+        dense = mvdsc_forward(h, sources.__getitem__, views, regularize=True)
     assert tiled.regularizer is None and tiled.diagnostics == {}
     scale = np.abs(dense.representation.data).max()
     assert np.abs(tiled.representation.data
                   - dense.representation.data).max() <= 1e-12 * scale
     one_pair = {kind: m[:1] for kind, m in sources.items()}
     with pytest.raises(BatchSizeError):
-        mvdsc_forward(nk.constant(h.data[:1]), one_pair, views, regularize=False)
+        mvdsc_forward(nk.constant(h.data[:1]), one_pair.__getitem__, views,
+                      regularize=False)
 
 
 def test_views_route_by_tape_not_by_labels(monkeypatch):
@@ -355,13 +356,13 @@ def test_views_route_by_tape_not_by_labels(monkeypatch):
     for regularize in (True, False):
         calls.clear()
         with nk.Tape():
-            mvdsc_forward(h, sources, views, regularize=regularize)
+            mvdsc_forward(h, sources.__getitem__, views, regularize=regularize)
         assert calls == ["dsc_adjacency"] * per_route
     calls.clear()
-    mvdsc_forward(h, sources, views, regularize=False)
+    mvdsc_forward(h, sources.__getitem__, views, regularize=False)
     assert calls == ["softmax_gram_matmul"] * per_route
     calls.clear()
-    result = mvdsc_forward(h, sources, views, regularize=True)
+    result = mvdsc_forward(h, sources.__getitem__, views, regularize=True)
     assert sorted(calls) == (["dsc_adjacency"] * per_route
                              + ["softmax_gram_matmul"] * per_route)
     assert np.isfinite(result.regularizer.item())

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from hmgrl import numkit as nk
-from hmgrl.errors import ParameterError, PartitionError, ValidationError
+from hmgrl.numkit.tensor import make_output
+from hmgrl.errors import NumericError, ParameterError, PartitionError, ValidationError
 from hmgrl.oracle import (
     FdConfig,
     finite_difference_grad,
@@ -42,6 +43,32 @@ def test_gradcheck_sweeps_a_tensor_whole_once_the_sample_count_reaches_it(
     report = gradcheck(lambda: nk.sum_all(nk.mul(x, x)), {"x": x},
                        FdConfig(sample_count=count))
     assert report["x"]["checked"] == checked and report["x"]["ok"]
+
+
+def test_gradcheck_raises_on_a_loss_not_finite_beside_a_coordinate():
+    # finite at x, NaN once x[0, 1] moves up by h: no coordinate may drop out
+    x = nk.parameter(np.array([[0.5, 1.0, -0.3]]))
+
+    def loss():
+        square = nk.sum_all(nk.mul(x, x))
+        return nk.scale(square, np.nan) if x.data[0, 1] > 1.0 else square
+
+    assert np.isfinite(loss().item())
+    with pytest.raises(NumericError, match=r"x: .*\(0, 1\)"):
+        gradcheck(loss, {"x": x})
+
+
+def test_gradcheck_fails_a_non_finite_analytic_gradient():
+    x = nk.parameter(np.array([[0.5, 1.0]]))
+
+    def loss():   # sum(x^2), whose analytic gradient reads NaN at x[0, 1]
+        def backward(g):
+            x.accumulate(g[0, 0] * np.array([[2 * 0.5, np.nan]]))
+
+        return make_output(np.array([[(x.data ** 2).sum()]]), (x,), backward)
+
+    report = gradcheck(loss, {"x": x})["x"]
+    assert np.isnan(report["max_rel_err"]) and not report["ok"]
 
 
 def test_ncut_disconnected_blocks_is_zero():
