@@ -2,8 +2,9 @@
 
 One 1-D CNN over each pair's stacked SMILES character indices plus
 identical FC + attention encoders (embedding pairs, and the similarity pairs
-of each descriptor kind). The model concatenates their outputs into the
-comprehensive pair feature.
+of each descriptor kind). Each reads per-drug tables and the pairs' two
+index vectors, so no per-pair input row is built. The model concatenates
+their outputs into the comprehensive pair feature.
 """
 
 from __future__ import annotations
@@ -144,15 +145,19 @@ class EncoderBlock:
         heads = nk.token_attention(q, k, v, self.token_count, self.n_heads)
         return nk.matmul(heads, p[f"{self.prefix}.attn.o"])
 
-    def forward(self, pair_rows) -> nk.Tensor:
-        """pair_rows: K x in_dim (the two drugs' features side by side)."""
-        x = nk.as_tensor(pair_rows)
-        if x.shape[1] != self.in_dim:
-            raise ShapeError(f"{self.prefix}: input width {x.shape[1]} != {self.in_dim}")
+    def forward(self, table, us, vs) -> nk.Tensor:
+        """Encode the pairs (us[k], vs[k]) over the per-drug rows of `table`
+        (N x in_dim/2): the FC layer maps the two drugs' rows side by side,
+        as the per-drug products (table @ W_top)[us] + (table @ W_bot)[vs]
+        of fc.w's row halves (nk.pair_linear)."""
+        x = nk.as_tensor(table)
+        if 2 * x.shape[1] != self.in_dim:
+            raise ShapeError(f"{self.prefix}: pair width {2 * x.shape[1]} != {self.in_dim}")
         p = self.params
-        batch = x.shape[0]
+        batch = len(us)
         width = self.token_count * self.token_dim
-        fc = nk.add_rowvec(nk.matmul(x, p[f"{self.prefix}.fc.w"]), p[f"{self.prefix}.fc.b"])
+        fc = nk.add_rowvec(nk.pair_linear(x, p[f"{self.prefix}.fc.w"], us, vs),
+                           p[f"{self.prefix}.fc.b"])
         tokens = nk.reshape(fc, batch * self.token_count, self.token_dim)
         attended = nk.add(tokens, self._attend(tokens))
         normed = nk.add_rowvec(

@@ -1,9 +1,8 @@
 """Drug attribute ingestion and pair-level feature primitives.
 
 Covers the descriptor kinds, the drug-table file format, cosine-similarity
-features over binary descriptor sequences, the fixed 100-position SMILES
-character encoding (the index form of a 64x100 one-hot matrix), and summed
-per-pair attribute sequences.
+features over binary descriptor sequences, and the fixed 100-position SMILES
+character encoding (the index form of a 64x100 one-hot matrix).
 """
 
 from __future__ import annotations
@@ -135,17 +134,6 @@ def encode_smiles_table(smiles) -> np.ndarray:
     rows[np.arange(SMILES_POSITIONS) < lengths[:, None]] = \
         _CLASS_OF_CODE[np.minimum(codes, 127)]
     return rows
-
-
-def pair_attribute_sequence(a, b) -> np.ndarray:
-    """Elementwise sum of two binary sequences (entries 0/1/2); row by row
-    when given two K x T blocks. The sum is float64, exact for these
-    entries, so a model input needs no second copy."""
-    a = np.asarray(a, dtype=np.int64)
-    b = np.asarray(b, dtype=np.int64)
-    if a.shape != b.shape:
-        raise ValidationError(f"sequence lengths differ: {a.shape} vs {b.shape}")
-    return np.add(a, b, dtype=np.float64)
 
 
 # ------------------------------------------------------------------ file I/O

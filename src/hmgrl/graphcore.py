@@ -204,6 +204,12 @@ def write_ddi_file(path, triples) -> None:
             fh.write(f"{a}\t{b}\t{r}\n")
 
 
+# Event types are 0..EVENT_TYPES - 1. The model owns a relation weight per
+# type up to the largest, so a stray large type would size it; dataset 1 has
+# 65 types.
+EVENT_TYPES = 1000
+
+
 def read_ddi_file(path, table: DrugTable) -> list[tuple[int, int, int]]:
     """Index triples (u, v, event) of a drug_a<TAB>drug_b<TAB>event file, its
     drug ids resolved against the table; each defect names its line."""
@@ -219,6 +225,9 @@ def read_ddi_file(path, table: DrugTable) -> list[tuple[int, int, int]]:
             raise DataError(f"bad event type {fields[2]!r}", path, line_no) from None
         if event < 0:
             raise DataError(f"event type must be >= 0, got {event}", path, line_no)
+        if event >= EVENT_TYPES:
+            raise DataError(f"event type must be below {EVENT_TYPES}, got {event}",
+                            path, line_no)
         if fields[0] == fields[1]:
             raise DataError("self-interaction not allowed", path, line_no)
         triples.append((table.lookup(fields[0], path, line_no),

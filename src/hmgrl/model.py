@@ -29,7 +29,6 @@ from .featurize import (
     DESCRIPTOR_KINDS,
     DrugTable,
     encode_smiles_table,
-    pair_attribute_sequence,
     read_drug_table,
 )
 from .graphcore import (
@@ -113,6 +112,8 @@ class HmgrlModel:
         self.initial_features = np.hstack(   # N x 3N
             list(self.dds.similarities.values()))
         self.smiles_index = encode_smiles_table(table.smiles)  # N x 100
+        self.descriptors = {kind: nk.constant(getattr(table, kind))  # N x T, float
+                            for kind in DESCRIPTOR_KINDS}
 
         d_in = self.initial_features.shape[1]
         d_embed = config.embed_dim
@@ -211,11 +212,9 @@ class HmgrlModel:
         """The five source encodings side by side: SMILES, embedding pair,
         then each descriptor kind's similarity pair in DESCRIPTOR_KINDS order."""
         parts = [self.cnn.forward(self.smiles_index, us, vs),
-                 self.encoders["embedding"].forward(nk.concat_cols(
-                     [nk.gather_rows(embeddings, us), nk.gather_rows(embeddings, vs)]))]
+                 self.encoders["embedding"].forward(embeddings, us, vs)]
         for kind, sims in self.dds.similarities.items():
-            parts.append(self.encoders[kind].forward(
-                nk.constant(np.hstack([sims[us], sims[vs]]))))
+            parts.append(self.encoders[kind].forward(sims, us, vs))
         return nk.concat_cols(parts)
 
     def decode(self, representation: nk.Tensor, training: bool,
@@ -236,8 +235,8 @@ class HmgrlModel:
                 training: bool = False,
                 dropout_rng: np.random.Generator | None = None,
                 mixup_rng: np.random.Generator | None = None) -> ForwardResult:
-        """Score a batch of drug pairs; each per-pair input is gathered from
-        the per-drug tables by the pairs' two index vectors."""
+        """Score a batch of drug pairs. Each layer that reads a pair's two
+        drugs runs on per-drug rows, gathered by the pairs' two index vectors."""
         pairs = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
         in_range = ((pairs >= 0) & (pairs < self.n_drugs)).all(axis=1)
         bad = ~in_range | (pairs[:, 0] == pairs[:, 1])
@@ -260,12 +259,8 @@ class HmgrlModel:
                 features, labels, mixup_rng, self.config.mixup_alpha)
             us, vs = us[dominant], vs[dominant]  # only the views read them on
 
-        def sequence_of(kind):   # each view builds its K x T block when it runs
-            mat = getattr(self.table, kind)
-            return pair_attribute_sequence(mat[us], mat[vs])
-
         # without labels no loss is formed, so the views skip their regularizers
-        clustered = mvdsc_forward(features, sequence_of, self.views,
+        clustered = mvdsc_forward(features, self.descriptors, us, vs, self.views,
                                   regularize=labels_used is not None)
         probs = self.decode(clustered.representation, training, dropout_rng)
 

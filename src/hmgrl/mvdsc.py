@@ -2,13 +2,15 @@
 
 Four views share one construction: learned multi-head adjacencies over a
 per-view source (the comprehensive features, or the summed pair sequences of
-one descriptor kind), relu graph-cut assignments, a residual output mix,
-and two unsupervised regularizers derived from the normalized-cut objective.
+one descriptor kind, projected per drug), relu graph-cut assignments, a
+residual output mix, and two unsupervised regularizers derived from the
+normalized-cut objective.
 No eigendecomposition happens here; the classical route lives in `oracle`.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,20 +45,19 @@ class DscView:
         return cls(prefix, kind, n_heads, n_clusters, params)
 
 
-def _project(source, weight) -> nk.Tensor:
-    """source @ W for one head; a clustering view needs at least 2 pairs."""
-    source = nk.as_tensor(source)
-    if source.shape[0] < 2:
-        raise BatchSizeError(f"need at least 2 pairs, got {source.shape[0]}")
-    return nk.matmul(source, weight)
+def _check_pairs(k: int) -> None:
+    """A clustering view clusters its batch, so it needs at least 2 pairs."""
+    if k < 2:
+        raise BatchSizeError(f"need at least 2 pairs, got {k}")
 
 
-def dsc_adjacency(source, weight) -> nk.Tensor:
-    """One head: project the source, form the Gram matrix, row-softmax.
+def dsc_adjacency(projected) -> nk.Tensor:
+    """One head from its projected pairs: Gram matrix, row softmax.
 
     Rows sum to 1, so the degree matrix of the result is the identity.
     """
-    projected = _project(source, weight)
+    projected = nk.as_tensor(projected)
+    _check_pairs(projected.shape[0])
     return nk.softmax_rows(nk.matmul(projected, nk.transpose(projected)))
 
 
@@ -129,52 +130,52 @@ class MvdscResult:
     diagnostics: dict = field(default_factory=dict)  # per view: losses, skips
 
 
-def view_forward(view: DscView, source, features, keep_adjacencies: bool):
-    """One view end to end, one head at a time: adjacency, then assignment.
-    While a tape records, a head's K x K adjacency is built whole and serves
-    both the assignment and the graph-cut loss. Otherwise the head is
-    relu(softmax_gram_matmul(source @ W_adj, features @ W_assign)), which
-    never holds more than a tile of it, and the adjacency is built only if
+def view_forward(view: DscView, project, features, keep_adjacencies: bool):
+    """One view end to end, one head at a time: project(W_adj) gives the
+    head's K x P projected pairs, then adjacency, then assignment. While a
+    tape records, a head's K x K adjacency is built whole and serves both the
+    assignment and the graph-cut loss. Otherwise the head is
+    relu(softmax_gram_matmul(projected, features @ W_assign)), which never
+    holds more than a tile of it, and the adjacency is built only if
     `keep_adjacencies` asks for it, for the loss; else the list is empty."""
-    taping = nk.recording([source, features, *view.params.values()])
+    _check_pairs(features.shape[0])
+    taping = nk.recording([features, *view.params.values()])
     assignments, adjacencies = [], []
     for m in range(view.n_heads):
-        w_adj = view.params[f"{view.prefix}.adj{m}"]
+        projected = project(view.params[f"{view.prefix}.adj{m}"])
         w_assign = view.params[f"{view.prefix}.assign{m}"]
         if taping:
-            a = dsc_adjacency(source, w_adj)
+            a = dsc_adjacency(projected)
             assignments.append(graph_cut_assign(a, features, w_assign))
             adjacencies.append(a)
             continue
         assignments.append(nk.relu(nk.softmax_gram_matmul(
-            _project(source, w_adj), nk.matmul(features, w_assign))))
+            projected, nk.matmul(features, w_assign))))
         if keep_adjacencies:
-            adjacencies.append(dsc_adjacency(source, w_adj))
+            adjacencies.append(dsc_adjacency(projected))
     output = dsc_output(assignments, features, view.params[f"{view.prefix}.mix"])
     return output, assignments, adjacencies
 
 
-def mvdsc_forward(features, sequence_of, views: dict,
+def mvdsc_forward(features, descriptors: dict, us, vs, views: dict,
                   regularize: bool = True) -> MvdscResult:
     """Run the four views and merge them in fixed order.
 
-    features: K x d tensor (comprehensive pair features); sequence_of(kind)
-    returns the K x * pair sequence matrix of a descriptor kind, called only
-    when that kind's view runs. The comprehensive view sources from
-    `features` itself. With `regularize` false no loss is formed, so the
+    features: K x d tensor (comprehensive pair features), the comprehensive
+    view's source. A descriptor view's source is the summed pair row
+    M[us] + M[vs] of its kind's per-drug matrix M = descriptors[kind], read
+    only through its projection (M @ W_adj)[us] + (M @ W_adj)[vs], so no
+    K x T block is built. With `regularize` false no loss is formed, so the
     result carries no regularizer and no diagnostics.
     """
     outputs = []
     diagnostics = {}
     reg_total = None
     for kind in VIEW_ORDER:
-        view = views[kind]
-        # no name outlives the call, so without a tape a view's source is
-        # freed before the next view builds its own
+        project = (functools.partial(nk.matmul, features) if kind == "comprehensive"
+                   else functools.partial(nk.pair_linear, descriptors[kind], us=us, vs=vs))
         output, assignments, adjacencies = view_forward(
-            view, features if kind == "comprehensive"
-            else nk.constant(sequence_of(kind)),
-            features, keep_adjacencies=regularize)
+            views[kind], project, features, keep_adjacencies=regularize)
         outputs.append(output)
         if not regularize:
             continue

@@ -23,6 +23,7 @@ from .ops import (
     matmul,
     mul,
     mul_rowvec,
+    pair_linear,
     relation_sum,
     relu,
     reshape,
@@ -43,8 +44,8 @@ __all__ = [
     "constant", "conv1d_bank", "conv1d_onehot",
     "div", "dropout", "frobenius_norm", "gather_rows", "global_max_pool",
     "layer_norm_rows", "load_checkpoint", "log_clamped", "matmul", "mul",
-    "mul_rowvec", "no_grad", "parameter", "recording", "relation_sum", "relu",
-    "reshape",
+    "mul_rowvec", "no_grad", "pair_linear", "parameter", "recording",
+    "relation_sum", "relu", "reshape",
     "save_checkpoint", "scale", "softmax_gram_matmul", "softmax_rows",
     "sub", "sum_all", "token_attention", "transpose",
 ]

@@ -162,85 +162,79 @@ def softmax_rows(a) -> Tensor:
     return make_output(y, (a,), backward)
 
 
-# Rows of A per tile in softmax_gram_matmul, swept over 16-512 (2-core x86
-# box, no tape). At K = 2,655 pairs with 32 projected and 16 cluster columns
-# a head took 30.5-31.3 ms for tiles of 128-512 rows, 33 ms for 64 and
-# 37-38 ms for 16-32. At K = 7,447 with 200 and 200 (the d1-task1 dims) it
-# took 773 ms for 512 rows, 856 ms for 256, 889 ms for 128 and 1,110 ms for
-# 64, where bigger tiles feed the GEMMs better. A 512 x 7,447 tile is 30 MB,
-# against 444 MB for the whole A.
+# Rows of A per tile in softmax_gram_matmul. A tile of rows lo:hi spans
+# columns lo:K, so the tile size trades GEMM shape against the share of A
+# computed on the diagonal tiles. Swept on a 2-core x86 box, no tape, median
+# per head: at K = 2,642 pairs with 32 projected and 16 cluster columns,
+# tiles of 256, 512 and 1,024 rows took 19.2, 20.3 and 23.9 ms; at K = 7,447
+# with 200 and 200 (the d1-task1 dims) they took 629, 572 and 537 ms. The
+# whole-row tiles of 512 that computed every entry took 28.4 and 767 ms. A
+# 512 x 7,447 tile is 30 MB, against 444 MB for the whole A.
 GRAM_TILE = 512
-# A tile with a row whose shifted exponentials sum below this (~e^-645,
-# well above the subnormal range) is redone with its exact row maxima.
+# A row whose shifted exponentials sum below this (~e^-645, well above the
+# subnormal range) is redone with its exact row maximum.
 GRAM_SUM_FLOOR = 1e-280
 
 
 def softmax_gram_matmul(p, b) -> Tensor:
-    """softmax_rows(p @ p^T) @ b in tiles of GRAM_TILE rows of
-    A = softmax_rows(p @ p^T), three passes per tile, equal to the dense
-    formula up to rounding.
+    """softmax_rows(p @ p^T) @ b without a tape, equal to the dense formula
+    up to rounding, never holding more than GRAM_TILE rows of A.
 
-    One GEMM [p, -c] @ [p, 1]^T gives row i of p @ p^T shifted by
-    c_i = |p_i| max_j |p_j|, a Cauchy-Schwarz bound on its largest entry;
-    one in-place exp gives E; and E @ [b, 1] gives the unnormalized product
-    with the row sums s as its last column, so the K x C product is divided
-    by s instead of the tile by its row sums. A tile with a row sum below
-    GRAM_SUM_FLOOR, or a value that is not finite (the bound's rounding can
-    overflow exp once Gram entries near 1e19), is redone with its exact row
-    maxima.
+    Entry (i, j) of p @ p^T is shifted by the symmetric bound (c_i + c_j)/2
+    with c_i = |p_i|^2, which is at least p_i . p_j, so E = exp(S - shift) is
+    symmetric with entries up to 1. Row i of A is row i of E scaled by
+    exp(c_j / 2) and normalized, so the right-hand side is [b, 1] with row j
+    scaled by exp((c_j - max c) / 2), and the last column of E @ that gives
+    the row sums. One GEMM [p, -c/2, 1] @ [p, 1, -c/2]^T gives a tile of
+    shifted rows lo:hi over columns lo:K, one in-place exp gives E, and its
+    product serves its own rows, while its transposed columns past hi serve
+    the later rows: each pair of row tiles is computed once. A row whose sum
+    is below GRAM_SUM_FLOOR, or that holds a value that is not finite (the
+    GEMM's rounding of the shift can overflow exp once Gram entries near
+    1e19), is redone with its exact row maximum.
 
-    Without a tape the tiles share one buffer, so the K x K matrix E never
-    exists whole. Under a tape the tiles fill a kept E, and the backward
-    forms A = E / s: dB = A^T g, dS = A * (dA - rowsum(dA * A)) with
-    dA = g b^T, and dP = (dS + dS^T) p.
+    There is no backward: under a recording tape build A with softmax_rows.
     """
     p, b = as_tensor(p), as_tensor(b)
+    if recording((p, b)):
+        raise RuntimeError("softmax_gram_matmul has no backward; under a tape "
+                           "form softmax_rows(p @ p^T) @ b")
     k, width = p.shape
     if b.shape[0] != k:
         raise ShapeError(f"softmax_gram_matmul: {p.shape} and {b.shape} differ in rows")
     p_data, b_data = p.data, b.data
-    norms = np.sqrt(np.einsum("ij,ij->i", p_data, p_data))
-    bounds = norms * norms.max()
-    p_ones = np.ones((k, width + 1))        # [p, 1]
-    p_ones[:, :width] = p_data
-    b_ones = np.ones((k, b.shape[1] + 1))   # [b, 1]
+    half = 0.5 * np.einsum("ij,ij->i", p_data, p_data)     # c / 2
+    lhs = np.empty((k, width + 2))                          # [p, -c/2, 1]
+    rhs = np.empty((k, width + 2))                          # [p, 1, -c/2]
+    lhs[:, :width] = rhs[:, :width] = p_data
+    np.negative(half, out=lhs[:, width])
+    np.negative(half, out=rhs[:, width + 1])
+    lhs[:, width + 1] = rhs[:, width] = 1.0
+    b_ones = np.ones((k, b.shape[1] + 1))                   # [b, 1]
     b_ones[:, :-1] = b_data
-    keep = recording((p, b))
-    rows = min(GRAM_TILE, k)
-    e = np.empty((k if keep else rows, k))
-    shifted = np.empty((rows, width + 1))   # a tile's rows of [p, -c]
-    product = np.empty((rows, b.shape[1] + 1))
-    out = np.empty((k, b.shape[1]))
-    sums = np.empty((k, 1))
-    for lo in range(0, k, GRAM_TILE):
-        hi = min(lo + GRAM_TILE, k)
-        tile = e[lo:hi] if keep else e[:hi - lo]
-        lhs, rhs = shifted[:hi - lo], product[:hi - lo]
-        lhs[:, :width] = p_data[lo:hi]
-        np.negative(bounds[lo:hi], out=lhs[:, width])
-        np.matmul(lhs, p_ones.T, out=tile)
-        with np.errstate(over="ignore", invalid="ignore"):  # redone below
+    scaled = b_ones * np.exp(half - half.max(initial=0.0))[:, None]
+    acc = np.empty_like(b_ones)             # the tiles' own rows
+    later = np.zeros((b_ones.shape[1], k))  # the later rows, transposed
+    flat = np.empty(min(GRAM_TILE, k) * k)
+    with np.errstate(over="ignore", invalid="ignore"):      # redone below
+        for lo in range(0, k, GRAM_TILE):
+            hi = min(lo + GRAM_TILE, k)
+            tile = flat[:(hi - lo) * (k - lo)].reshape(hi - lo, k - lo)
+            np.matmul(lhs[lo:hi], rhs[lo:].T, out=tile)
             np.exp(tile, out=tile)
-            np.matmul(tile, b_ones, out=rhs)
-        if not (rhs[:, -1].min() >= GRAM_SUM_FLOOR and np.isfinite(rhs).all()):
-            np.matmul(p_data[lo:hi], p_data.T, out=tile)
-            tile -= tile.max(axis=1, keepdims=True)
-            np.exp(tile, out=tile)
-            np.matmul(tile, b_ones, out=rhs)
-        sums[lo:hi] = rhs[:, -1:]
-        np.divide(rhs[:, :-1], sums[lo:hi], out=out[lo:hi])
-
-    def backward(g):
-        a = np.divide(e, sums, out=e)   # a tape runs backward once
-        if b.requires_grad:
-            b.accumulate(a.T @ g, fresh=True)
-        if p.requires_grad:
-            ds = g @ b_data.T
-            ds -= (ds * a).sum(axis=1, keepdims=True)
-            ds *= a
-            p.accumulate((ds + ds.T) @ p_data, fresh=True)
-
-    return make_output(out, (p, b), backward)
+            np.matmul(tile, scaled[lo:], out=acc[lo:hi])
+            later[:, hi:] += scaled[lo:hi].T @ tile[:, hi - lo:]
+        acc += later.T
+        redo = np.flatnonzero(~(acc[:, -1] >= GRAM_SUM_FLOOR)
+                              | ~np.isfinite(acc).all(axis=1))
+    for lo in range(0, redo.size, GRAM_TILE):
+        rows = redo[lo:lo + GRAM_TILE]
+        tile = flat[:rows.size * k].reshape(rows.size, k)
+        np.matmul(p_data[rows], p_data.T, out=tile)
+        tile -= tile.max(axis=1, keepdims=True)
+        np.exp(tile, out=tile)
+        acc[rows] = tile @ b_ones
+    return Tensor(acc[:, :-1] / acc[:, -1:])
 
 
 def log_clamped(a, floor: float = 1e-12) -> Tensor:
@@ -325,6 +319,57 @@ def gather_rows(a, index) -> Tensor:
             a.accumulate(_scatter_rows(idx, None, None, a.shape[0], g), fresh=True)
 
     return make_output(a.data[idx], (a,), backward)
+
+
+def pair_linear(x, w, us, vs) -> Tensor:
+    """Row k is x[us[k]] @ W_u + x[vs[k]] @ W_v, a linear map of the pair
+    (us[k], vs[k]) over the per-drug rows of x (n columns). A w of 2n rows
+    holds W_u over W_v, the map of the side-by-side row [x_u, x_v]; a w of n
+    rows is both, the map of the summed row x_u + x_v.
+
+    Each drug of the batch is multiplied once, then gathered:
+    (x_d @ W_u)[us] + (x_d @ W_v)[vs] over the unique drugs d, one GEMM
+    when W_u is W_v. The backward scatters g onto those drugs' rows:
+    dW_u = x_d^T G_u and dx_d = G_u W_u^T + G_v W_v^T.
+    """
+    x, w = as_tensor(x), as_tensor(w)
+    n = x.shape[1]
+    if w.shape[0] not in (n, 2 * n):
+        raise ShapeError(f"pair_linear: weight {w.shape} against rows of width {n}")
+    us, vs = np.asarray(us, dtype=np.intp), np.asarray(vs, dtype=np.intp)
+    if us.ndim != 1 or us.shape != vs.shape:
+        raise ShapeError(f"pair_linear: index vectors {us.shape} and {vs.shape}")
+    if us.size and (min(us.min(), vs.min()) < 0 or max(us.max(), vs.max()) >= x.shape[0]):
+        raise ShapeError(f"pair_linear: a drug index lies outside 0..{x.shape[0] - 1}")
+    used = np.zeros(x.shape[0], dtype=bool)
+    used[us] = used[vs] = True
+    drugs = np.flatnonzero(used)                  # ascending
+    slot = np.cumsum(used) - 1                    # each drug's row among them
+    where_u, where_v = slot[us], slot[vs]
+    rows = x.data if drugs.size == x.shape[0] else x.data[drugs]
+    shared = w.shape[0] == n
+    w_u, w_v = (w.data, w.data) if shared else (w.data[:n], w.data[n:])
+    proj_u = rows @ w_u
+    proj_v = proj_u if shared else rows @ w_v
+    out = proj_u[where_u]
+    out += proj_v[where_v]
+
+    def backward(g):
+        g_u = _scatter_rows(where_u, None, None, drugs.size, g)
+        g_v = _scatter_rows(where_v, None, None, drugs.size, g)
+        if shared:
+            g_u += g_v
+        if w.requires_grad:
+            w.accumulate(rows.T @ g_u if shared
+                         else np.vstack([rows.T @ g_u, rows.T @ g_v]), fresh=True)
+        if x.requires_grad:
+            dx = np.zeros(x.shape)
+            dx[drugs] = g_u @ w_u.T
+            if not shared:
+                dx[drugs] += g_v @ w_v.T
+            x.accumulate(dx, fresh=True)
+
+    return make_output(out, (x, w), backward)
 
 
 def _relation_entries(relation, n_rows: int, n_x: int):

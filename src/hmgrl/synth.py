@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .featurize import DESCRIPTOR_KINDS, SMILES_POSITIONS, DrugTable
+from .graphcore import EVENT_TYPES
 
 _SMILES_BASE = "CNOPSFcno123()=#-"
 
@@ -35,8 +36,8 @@ class SynthSpec:
     def __post_init__(self):
         if self.n_drugs < 4:
             raise ParameterError("need at least 4 drugs")
-        if self.n_events < 2:
-            raise ParameterError("need at least 2 event types")
+        if not 2 <= self.n_events <= EVENT_TYPES:
+            raise ParameterError(f"n_events must be in 2..{EVENT_TYPES}, got {self.n_events}")
         for name in (f"{kind}_size" for kind in DESCRIPTOR_KINDS):
             if getattr(self, name) < 1:
                 raise ParameterError(f"{name} must be >= 1, got {getattr(self, name)!r}")

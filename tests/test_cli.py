@@ -548,6 +548,29 @@ def test_synth_many_events_picks_enough_classes(tmp_path):
         assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / name).read_bytes()
 
 
+@pytest.mark.parametrize("event", ["9" * 30, "200000", "1000"],
+                         ids=["past-int64", "two-hundred-thousand", "first-past-bound"])
+def test_event_type_past_the_bound_names_file_and_line(tmp_path, capsys, event):
+    # one edited line must not size the model: past int64 it overflowed in the
+    # graph build, and 200,000 allocated as many relation weights
+    from hmgrl.graphcore import EVENT_TYPES
+
+    data = tmp_path / "d"
+    assert run_cli("synth", "--out", data, "--drugs", 20, "--events", 4,
+                   "--density", 0.3) == 0
+    ddis = data / "ddis.tsv"
+    lines = ddis.read_text().splitlines()
+    lines[2] = lines[2].rsplit("\t", 1)[0] + "\t" + event
+    ddis.write_text("\n".join(lines) + "\n")
+    run_dir = tmp_path / "run"
+    code = run_cli("train", "--drugs", data / "drugs.tsv", "--ddis", ddis,
+                   "--preset", "micro", "--epochs", 1, "--out", run_dir)
+    err = capsys.readouterr().err
+    assert code == EXIT_DATA
+    assert f"{ddis}:3: event type must be below {EVENT_TYPES}, got {event}" in err
+    assert not (run_dir / "checkpoint").exists()
+
+
 def test_out_of_range_fold_index_is_usage_error(synth_dir, tmp_path, capsys):
     run_dir = tmp_path / "run"
     code = run_cli("train", "--drugs", synth_dir / "drugs.tsv",

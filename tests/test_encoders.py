@@ -138,12 +138,19 @@ def small_encoder(rng, in_dim=6, out_dim=5):
                               token_count=2, token_dim=4, n_heads=2)
 
 
+def drug_pairs(rng, n_drugs, k):
+    """k pairs of distinct drugs over n_drugs, repeating drugs."""
+    us = rng.integers(0, n_drugs, size=k)
+    return us, (us + rng.integers(1, n_drugs, size=k)) % n_drugs
+
+
 def test_encoder_output_shape_and_determinism():
     rng = np.random.default_rng(4)
     block = small_encoder(rng)
-    x = rng.normal(size=(5, 6))
-    out1 = block.forward(nk.constant(x)).data
-    out2 = block.forward(nk.constant(x)).data
+    table = rng.normal(size=(4, 3))
+    us, vs = drug_pairs(rng, 4, 5)
+    out1 = block.forward(table, us, vs).data
+    out2 = block.forward(table, us, vs).data
     assert out1.shape == (5, 5)
     assert np.array_equal(out1, out2)
 
@@ -151,10 +158,11 @@ def test_encoder_output_shape_and_determinism():
 def test_encoder_batch_equals_independent_singles():
     rng = np.random.default_rng(5)
     block = small_encoder(rng)
-    x = rng.normal(size=(4, 6))
-    batch = block.forward(nk.constant(x)).data
+    table = rng.normal(size=(3, 3))
+    us, vs = drug_pairs(rng, 3, 4)
+    batch = block.forward(table, us, vs).data
     for k in range(4):
-        single = block.forward(nk.constant(x[k:k + 1])).data
+        single = block.forward(table, us[k:k + 1], vs[k:k + 1]).data
         assert np.allclose(batch[k], single[0], atol=1e-12)
 
 
@@ -181,14 +189,14 @@ def test_attention_weights_row_stochastic():
 
 
 def test_attention_tape_records_do_not_grow_with_heads():
-    x = np.random.default_rng(13).normal(size=(3, 6))
+    table = np.random.default_rng(13).normal(size=(3, 3))
     counts = []
     for n_heads in (1, 4):
         block = EncoderBlock.build(np.random.default_rng(13), "enc", in_dim=6,
                                    out_dim=4, token_count=2, token_dim=4,
                                    n_heads=n_heads)
         with nk.Tape() as tape:
-            block.forward(nk.constant(x))
+            block.forward(table, [0, 1, 2], [1, 2, 0])
         counts.append(len(tape))
     assert counts[0] == counts[1]
 
@@ -196,12 +204,13 @@ def test_attention_tape_records_do_not_grow_with_heads():
 def test_encoder_gradients_on_toy_input():
     rng = np.random.default_rng(8)
     block = small_encoder(rng, in_dim=6, out_dim=4)
-    x = rng.normal(size=(3, 6))
+    table = nk.parameter(rng.normal(size=(3, 3)))   # embeddings take gradients
+    us, vs = np.array([0, 1, 0]), np.array([1, 2, 2])
     w = rng.normal(size=(3, 4))
-    params = list(block.params.values())
+    params = list(block.params.values()) + [table]
 
     def loss():
-        return nk.sum_all(nk.mul(block.forward(nk.constant(x)), nk.constant(w)))
+        return nk.sum_all(nk.mul(block.forward(table, us, vs), nk.constant(w)))
 
     fd_check(loss, params, rel_tol=2e-4)
 
@@ -213,8 +222,9 @@ def test_published_dims_line_up():
     enc1 = EncoderBlock.build(rng, "e1", in_dim=2 * 500, out_dim=1500)
     enc2 = EncoderBlock.build(rng, "e2", in_dim=2 * 572, out_dim=200)
     k = 2
-    h_emb = enc1.forward(nk.constant(rng.normal(size=(k, 1000))))
-    h_tar = enc2.forward(nk.constant(rng.normal(size=(k, 1144))))
+    pairs = ([0, 1], [1, 0])
+    h_emb = enc1.forward(rng.normal(size=(572, 500)), *pairs)
+    h_tar = enc2.forward(rng.normal(size=(572, 572)), *pairs)
     assert h_emb.shape == (k, 1500)
     assert h_tar.shape == (k, 200)
     blocks = [nk.constant(np.zeros((k, 200))), h_emb, h_tar,

@@ -20,7 +20,6 @@ from hmgrl.featurize import (
     cosine_similarity_matrix,
     encode_smiles,
     encode_smiles_table,
-    pair_attribute_sequence,
     read_drug_table,
     write_drug_table,
 )
@@ -135,23 +134,6 @@ def test_encode_smiles_injective_up_to_truncation():
     assert len(set(rows)) == len(strings)
     # beyond the window, differences are invisible by design
     assert np.array_equal(encode_smiles("C" * 100), encode_smiles("C" * 100 + "N"))
-
-
-def test_pair_attribute_sequence():
-    assert np.array_equal(pair_attribute_sequence([1, 0, 1], [1, 1, 0]), [2, 1, 1])
-    x = np.array([1, 0, 1])
-    assert np.array_equal(pair_attribute_sequence(x, np.zeros(3, dtype=int)), x)
-    a, b = np.array([1, 1, 0]), np.array([0, 1, 1])
-    assert np.array_equal(pair_attribute_sequence(a, b), pair_attribute_sequence(b, a))
-    # K x T blocks sum row by row
-    rng = np.random.default_rng(0)
-    block_a, block_b = rng.integers(0, 2, size=(2, 5, 7))
-    per_row = [pair_attribute_sequence(x, y) for x, y in zip(block_a, block_b)]
-    assert np.array_equal(pair_attribute_sequence(block_a, block_b), per_row)
-    with pytest.raises(ValidationError):
-        pair_attribute_sequence([1, 0], [1, 0, 1])
-    with pytest.raises(ValidationError):
-        pair_attribute_sequence(block_a, block_b[:4])
 
 
 def test_drug_table_rejects_duplicates_and_nonbinary():

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from hmgrl import featurize, graphcore
-from hmgrl import model as model_module
 from hmgrl import numkit as nk
 from hmgrl.config import apply_preset
 from hmgrl.errors import BatchSizeError, ShapeError, ValidationError
@@ -111,9 +110,8 @@ def test_mixup_dominant_partner_sequences():
     # permuting the pair index vectors permutes the sequence rows bit for bit
     mat = rng.integers(0, 2, size=(5, 7)).astype(float)
     us, vs = np.array([0, 1, 2]), np.array([3, 4, 0])
-    assert np.array_equal(
-        featurize.pair_attribute_sequence(mat[us[dominant]], mat[vs[dominant]]),
-        featurize.pair_attribute_sequence(mat[us], mat[vs])[perm])
+    assert np.array_equal(mat[us[dominant]] + mat[vs[dominant]],
+                          (mat[us] + mat[vs])[perm])
 
 
 def test_model_shapes_and_named_params():
@@ -255,29 +253,33 @@ def test_unlabelled_predict_never_holds_a_k_by_k_matrix():
     assert peak < k * k * 8, f"traced peak {peak / 2**20:.1f} MiB"
 
 
-def test_unlabelled_predict_holds_one_pair_sequence_block_at_a_time(monkeypatch):
-    data, model, graph = untrained_micro_model()
-    pairs = random_pairs(np.random.default_rng(8), data.n_drugs, 50)
-    expected = {name: featurize.pair_attribute_sequence(mat[pairs[:, 0]], mat[pairs[:, 1]])
-                for name, mat in (("targets", data.table.targets),
-                                  ("enzymes", data.table.enzymes),
-                                  ("substructures", data.table.substructures))}
-    built = []
-    sequence = model_module.pair_attribute_sequence
-
-    def spy(a, b):
-        assert all(ref() is None for ref in built), "an earlier block is still held"
-        block = sequence(a, b)
-        built.append(weakref.ref(block))
-        seen.append(block.copy())
-        return block
-
-    seen = []
-    monkeypatch.setattr(model_module, "pair_attribute_sequence", spy)
-    predict(model, graph, pairs)
-    assert len(seen) == 3
-    for block, name in zip(seen, ("targets", "enzymes", "substructures")):
-        assert np.array_equal(block, expected[name]), name
+def test_unlabelled_predict_peak_stays_below_the_pair_blocks():
+    # 1,500 pairs over 300 drugs with dataset 1's descriptor widths: a route
+    # that built the views' K x T summed sequences or the encoders' K x 2N
+    # similarity pairs would pass this bound, what the three K x T blocks and
+    # one K x 2N block take by themselves; projecting per drug and gathering
+    # the products peaks at ~20.5 MiB
+    n_drugs, k = 300, 1500
+    spec = SynthSpec(seed=0, n_drugs=n_drugs, n_events=8, density=0.05,
+                     targets_size=1162, enzymes_size=202, substructures_size=881)
+    table, id_triples = generate(spec)
+    triples = [(table.lookup(a), table.lookup(b), r) for a, b, r in id_triples]
+    n_relations = max(r for _, _, r in triples) + 1
+    model = HmgrlModel(apply_preset("small"), table, n_relations, seed=0)
+    graph = RelGraph.from_triples(n_drugs, n_relations, triples)
+    pairs = random_pairs(np.random.default_rng(7), n_drugs, k)
+    widths = sum(getattr(table, kind).shape[1] for kind in featurize.DESCRIPTOR_KINDS)
+    blocks = k * widths * 8 + k * 2 * n_drugs * 8
+    gc.collect()
+    tracemalloc.start()
+    try:
+        _, probs = predict(model, graph, pairs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert probs.shape == (k, n_relations)
+    assert peak < blocks, (f"traced peak {peak / 2**20:.1f} MiB against "
+                           f"{blocks / 2**20:.1f} MiB of pair blocks")
 
 
 def test_comprehensive_features_order_the_five_sources():
@@ -576,3 +578,47 @@ def test_backward_peak_memory_stays_near_the_forward_tape():
     ratio = peak / held
     assert ratio <= 1.3, (f"backward peaks at {ratio:.2f}x the forward's "
                           f"{held / 2**20:.1f} MiB")
+
+
+def pair_route(x, w, us, vs):
+    """The route nk.pair_linear replaces: build each pair's row from its two
+    drugs' rows (side by side for an encoder, summed for a view), then map it."""
+    x = nk.as_tensor(x)
+    left, right = nk.gather_rows(x, us), nk.gather_rows(x, vs)
+    rows = nk.add(left, right) if w.shape[0] == x.shape[1] else nk.concat_cols([left, right])
+    return nk.matmul(rows, w)
+
+
+@pytest.mark.parametrize("lam", [0.8, 0.3], ids=["own-rows", "dominant-partner"])
+def test_per_drug_route_matches_the_pair_route(monkeypatch, lam):
+    # 96 training pairs over 60 drugs repeat drugs; below lam = 0.5 the views
+    # read each row's Mixup partner, so their pairs are permuted
+    model, graph, pairs, labels = desk_batch(size=96)
+    model.config = model.config.replace(mixup=True)
+    with nk.no_grad():
+        embeddings = nk.parameter(model.drug_embeddings(graph).data)
+    monkeypatch.setattr(model, "drug_embeddings", lambda graph: embeddings)
+
+    def run():
+        model.zero_grad()
+        embeddings.zero_grad()
+        with nk.Tape() as tape:
+            result = model.forward(graph, pairs, labels=labels, training=True,
+                                   dropout_rng=np.random.default_rng(1),
+                                   mixup_rng=FixedBeta(lam, seed=2))
+        tape.backward(result.loss_total)
+        grads = {name: p.grad for name, p in model.params.items()
+                 if p.grad is not None}
+        grads["embeddings"] = embeddings.grad
+        return result.probabilities.data, grads
+
+    per_drug_probs, per_drug = run()
+    monkeypatch.setattr(nk, "pair_linear", pair_route)
+    pair_probs, pair = run()
+    assert np.abs(per_drug_probs - pair_probs).max() <= 1e-12 * np.abs(pair_probs).max()
+    assert set(per_drug) == set(pair)
+    checked = [name for name in pair if name.endswith(".fc.w") or ".adj" in name]
+    assert len(checked) == 4 + 4 * model.config.dsc_heads   # encoders, views
+    for name, grad in pair.items():
+        scale = np.abs(grad).max()
+        assert np.abs(per_drug[name] - grad).max() <= 1e-12 * scale, name

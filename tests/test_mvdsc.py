@@ -21,7 +21,7 @@ def test_adjacency_rows_sum_to_one():
     source = nk.constant(rng.normal(size=(5, 4)))
     heads = [nk.constant(rng.normal(size=(4, 3))) for _ in range(2)]
     for w in heads:
-        a = dsc_adjacency(source, w)
+        a = dsc_adjacency(nk.matmul(source, w))
         assert np.abs(a.data.sum(axis=1) - 1.0).max() <= 1e-12
         assert a.data.min() >= 0.0
 
@@ -30,14 +30,14 @@ def test_adjacency_identical_rows_match():
     rng = np.random.default_rng(1)
     src = rng.normal(size=(4, 3))
     src[2] = src[0]  # two identical pairs
-    a = dsc_adjacency(nk.constant(src), nk.constant(rng.normal(size=(3, 2))))
+    a = dsc_adjacency(nk.constant(src @ rng.normal(size=(3, 2))))
     assert np.allclose(a.data[0], a.data[2], atol=1e-12)
 
 
 def test_adjacency_matches_direct_evaluation():
     t = np.array([[1.0, 0.0, 2.0], [0.0, 1.0, 1.0], [1.0, 1.0, 0.0]])
     w = np.array([[0.5, -1.0], [1.0, 0.25], [-0.5, 0.75]])
-    a = dsc_adjacency(nk.constant(t), nk.constant(w))
+    a = dsc_adjacency(nk.constant(t @ w))
     proj = t @ w
     gram = proj @ proj.T
     e = np.exp(gram - gram.max(axis=1, keepdims=True))
@@ -46,7 +46,7 @@ def test_adjacency_matches_direct_evaluation():
 
 def test_adjacency_batch_size_error():
     with pytest.raises(BatchSizeError):
-        dsc_adjacency(nk.constant(np.ones((1, 3))), nk.constant(np.ones((3, 2))))
+        dsc_adjacency(nk.constant(np.ones((1, 2))))
 
 
 def test_graph_cut_assign_zero_weight_and_nonnegative():
@@ -217,7 +217,7 @@ def test_graph_cut_upper_bound_on_model_construction():
         d_src, d_feat = int(rng.integers(2, 6)), int(rng.integers(2, 6))
         source = nk.constant(rng.normal(scale=rng.uniform(0.3, 3.0), size=(k, d_src)))
         h = nk.constant(rng.normal(size=(k, d_feat)))
-        adj = dsc_adjacency(source, nk.constant(rng.normal(size=(d_src, 3))))
+        adj = dsc_adjacency(nk.matmul(source, nk.constant(rng.normal(size=(d_src, 3)))))
         f = graph_cut_assign(adj, h, nk.constant(rng.normal(size=(d_feat, c))))
         loss, skipped = loss_graph_cut([f], [adj])
         assert np.isfinite(loss.item())
@@ -243,9 +243,14 @@ def make_views(rng, feat_dim, seq_dims, c=2, m=2, proj=3):
     return views
 
 
-def make_sources(rng, k, seq_dims):
-    return {kind: rng.integers(0, 3, size=(k, dim)).astype(float)
-            for kind, dim in seq_dims.items()}
+def make_sources(rng, k, seq_dims, n_drugs=7):
+    """(per-drug 0/1 descriptor tables, us, vs): k pairs over n_drugs drugs,
+    so the batch repeats drugs."""
+    tables = {kind: rng.integers(0, 2, size=(n_drugs, dim)).astype(float)
+              for kind, dim in seq_dims.items()}
+    us = rng.integers(0, n_drugs, size=k)
+    vs = (us + rng.integers(1, n_drugs, size=k)) % n_drugs
+    return tables, us, vs
 
 
 def test_mvdsc_forward_shape_and_regularizer_arithmetic():
@@ -255,7 +260,7 @@ def test_mvdsc_forward_shape_and_regularizer_arithmetic():
     views = make_views(rng, feat_dim, seq_dims)
     sources = make_sources(rng, k, seq_dims)
     h = nk.constant(rng.normal(size=(k, feat_dim)))
-    result = mvdsc_forward(h, sources.__getitem__, views)
+    result = mvdsc_forward(h, *sources, views)
     assert result.representation.shape == (k, 4 * feat_dim)
     recomputed = np.mean([result.diagnostics[kind]["graph_cut"]
                           + result.diagnostics[kind]["orthogonality"]
@@ -282,9 +287,9 @@ def test_mvdsc_view_locality():
     views = make_views(rng, feat_dim, seq_dims)
     sources = make_sources(rng, k, seq_dims)
     h = nk.constant(rng.normal(size=(k, feat_dim)))
-    before = mvdsc_forward(h, sources.__getitem__, views).representation.data.copy()
+    before = mvdsc_forward(h, *sources, views).representation.data.copy()
     views["targets"].params["dsc.targets.mix"].data += 0.5
-    after = mvdsc_forward(h, sources.__getitem__, views).representation.data
+    after = mvdsc_forward(h, *sources, views).representation.data
     assert np.array_equal(before[:, :feat_dim], after[:, :feat_dim])
     assert not np.array_equal(before[:, feat_dim:2 * feat_dim],
                               after[:, feat_dim:2 * feat_dim])
@@ -304,7 +309,7 @@ def test_mvdsc_end_to_end_gradients():
         params.update(v.params)
 
     def loss():
-        result = mvdsc_forward(nk.constant(h_base), sources.__getitem__, views)
+        result = mvdsc_forward(nk.constant(h_base), *sources, views)
         fit = nk.sum_all(nk.mul(result.representation, nk.constant(w)))
         return nk.add(fit, result.regularizer)
 
@@ -319,18 +324,18 @@ def test_unregularized_views_match_the_kept_adjacency_route(tiles_of_64):
     k, feat_dim = 200, 6
     seq_dims = {"targets": 4, "enzymes": 5, "substructures": 7}
     views = make_views(rng, feat_dim, seq_dims, c=3, m=2, proj=4)
-    sources = make_sources(rng, k, seq_dims)
+    sources = make_sources(rng, k, seq_dims, n_drugs=40)
     h = nk.constant(rng.normal(size=(k, feat_dim)))
-    tiled = mvdsc_forward(h, sources.__getitem__, views, regularize=False)
+    tiled = mvdsc_forward(h, *sources, views, regularize=False)
     with nk.Tape():
-        dense = mvdsc_forward(h, sources.__getitem__, views, regularize=True)
+        dense = mvdsc_forward(h, *sources, views, regularize=True)
     assert tiled.regularizer is None and tiled.diagnostics == {}
     scale = np.abs(dense.representation.data).max()
     assert np.abs(tiled.representation.data
                   - dense.representation.data).max() <= 1e-12 * scale
-    one_pair = {kind: m[:1] for kind, m in sources.items()}
+    tables, us, vs = sources
     with pytest.raises(BatchSizeError):
-        mvdsc_forward(nk.constant(h.data[:1]), one_pair.__getitem__, views,
+        mvdsc_forward(nk.constant(h.data[:1]), tables, us[:1], vs[:1], views,
                       regularize=False)
 
 
@@ -356,13 +361,13 @@ def test_views_route_by_tape_not_by_labels(monkeypatch):
     for regularize in (True, False):
         calls.clear()
         with nk.Tape():
-            mvdsc_forward(h, sources.__getitem__, views, regularize=regularize)
+            mvdsc_forward(h, *sources, views, regularize=regularize)
         assert calls == ["dsc_adjacency"] * per_route
     calls.clear()
-    mvdsc_forward(h, sources.__getitem__, views, regularize=False)
+    mvdsc_forward(h, *sources, views, regularize=False)
     assert calls == ["softmax_gram_matmul"] * per_route
     calls.clear()
-    result = mvdsc_forward(h, sources.__getitem__, views, regularize=True)
+    result = mvdsc_forward(h, *sources, views, regularize=True)
     assert sorted(calls) == (["dsc_adjacency"] * per_route
                              + ["softmax_gram_matmul"] * per_route)
     assert np.isfinite(result.regularizer.item())

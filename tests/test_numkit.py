@@ -115,16 +115,14 @@ def test_softmax_gram_matmul_matches_dense_formula(k, tiles_of_64):
     dense = dense_softmax_gram_matmul(p, b).data
     tiled = nk.softmax_gram_matmul(p, b).data
     assert np.abs(tiled - dense).max() <= 1e-12 * np.abs(dense).max()
-    with nk.Tape():   # the route that keeps A for a backward
-        kept = nk.softmax_gram_matmul(nk.parameter(p), b).data
-    assert np.abs(kept - dense).max() <= 1e-12 * np.abs(dense).max()
 
 
 def _fallback_rows(p):
-    """Rows whose exponentials, shifted by the Cauchy-Schwarz bound
-    |p_i| max_j |p_j|, sum below GRAM_SUM_FLOOR (computed in log space)."""
-    norms = np.linalg.norm(p, axis=1)
-    shifted = p @ p.T - (norms * norms.max())[:, None]
+    """Rows whose exponentials, shifted by the symmetric bound
+    (|p_i|^2 + |p_j|^2)/2 and scaled by exp((|p_j|^2 - max |p|^2)/2), sum
+    below GRAM_SUM_FLOOR (computed in log space)."""
+    sq = (p * p).sum(axis=1)
+    shifted = p @ p.T - sq[:, None] / 2 - sq.max() / 2
     top = shifted.max(axis=1)
     log_sums = top + np.log(np.exp(shifted - top[:, None]).sum(axis=1))
     return log_sums < np.log(GRAM_SUM_FLOOR)
@@ -140,14 +138,11 @@ def test_softmax_gram_matmul_redoes_tiles_whose_bound_overshoots(wide_rows,
     p[list(wide_rows)] *= 60
     b = rng.normal(size=(200, 3))
     fallback = _fallback_rows(p)
-    tiles = [fallback[lo:lo + 64] for lo in range(0, 200, 64)]
-    assert any(t.any() and not t.all() for t in tiles)   # fallback and fast rows
+    assert fallback.any() and not fallback.all()   # fallback and fast rows
     dense = dense_softmax_gram_matmul(p, b).data
-    for tape in (False, True):
-        with (nk.Tape() if tape else nk.no_grad()):
-            tiled = nk.softmax_gram_matmul(nk.parameter(p), b).data
-        assert np.isfinite(tiled).all()
-        assert np.abs(tiled - dense).max() <= 1e-12 * np.abs(dense).max()
+    tiled = nk.softmax_gram_matmul(p, b).data
+    assert np.isfinite(tiled).all()
+    assert np.abs(tiled - dense).max() <= 1e-12 * np.abs(dense).max()
 
 
 def test_softmax_gram_matmul_redoes_tiles_that_overflow(tiles_of_64):
@@ -167,16 +162,65 @@ def test_softmax_gram_matmul_redoes_tiles_that_overflow(tiles_of_64):
         assert np.abs(tiled - dense).max() <= 1e-12 * np.abs(dense).max()
 
 
-def test_softmax_gram_matmul_gradients(tiles_of_64):
+def test_softmax_gram_matmul_refuses_a_recording_tape():
+    # it has no backward: under a tape the views build A with softmax_rows
     rng = np.random.default_rng(2)
-    p = nk.parameter(rng.normal(size=(70, 3)))   # two tiles, the second ragged
-    b = nk.parameter(rng.normal(size=(70, 4)))
-    w = rng.normal(size=(70, 4))
+    p = nk.parameter(rng.normal(size=(4, 3)))
+    with nk.Tape(), pytest.raises(RuntimeError, match="no backward"):
+        nk.softmax_gram_matmul(p, rng.normal(size=(4, 2)))
+    with nk.Tape():    # a tape with nothing to record is no tape for it
+        nk.softmax_gram_matmul(p.data, rng.normal(size=(4, 2)))
+
+
+@pytest.mark.parametrize("spare", [0, 2], ids=["every-drug", "two-unused"])
+@pytest.mark.parametrize("shared", [False, True], ids=["halves", "shared"])
+def test_pair_linear_matches_the_pair_route(shared, spare):
+    # 40 pairs over 9 drugs repeat drugs; with spare drugs unused, the
+    # per-drug route gathers rows and scatters their gradient back
+    rng = np.random.default_rng(21)
+    n_drugs, n, width, k = 9, 5, 4, 40
+    used = n_drugs - spare
+    x = nk.parameter(rng.normal(size=(n_drugs, n)))
+    w = nk.parameter(rng.normal(size=(n if shared else 2 * n, width)))
+    us = rng.integers(0, used, size=k)
+    vs = (us + rng.integers(1, used, size=k)) % used
+    g = rng.normal(size=(k, width))
+    with nk.Tape() as tape:
+        out = nk.pair_linear(x, w, us, vs)
+        loss = nk.sum_all(nk.mul(out, nk.constant(g)))
+    tape.backward(loss)
+    # the pair route: each pair's summed or side-by-side row, built in numpy
+    rows = x.data[us] + x.data[vs] if shared else np.hstack([x.data[us], x.data[vs]])
+    d_rows = g @ w.data.T
+    dx = np.zeros_like(x.data)
+    np.add.at(dx, us, d_rows[:, :n])
+    np.add.at(dx, vs, d_rows[:, -n:])
+    for got, want in ((out.data, rows @ w.data), (w.grad, rows.T @ g), (x.grad, dx)):
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("shared", [False, True], ids=["halves", "shared"])
+def test_pair_linear_gradients(shared):
+    rng = np.random.default_rng(22)
+    x = nk.parameter(rng.normal(size=(5, 3)))
+    w = nk.parameter(rng.normal(size=(3 if shared else 6, 4)))
+    us, vs = np.array([0, 1, 0, 3, 1]), np.array([1, 3, 3, 0, 0])
+    target = rng.normal(size=(5, 4))
 
     def loss():
-        return nk.sum_all(nk.mul(nk.softmax_gram_matmul(p, b), nk.constant(w)))
+        return nk.sum_all(nk.mul(nk.pair_linear(x, w, us, vs), nk.constant(target)))
 
-    fd_check(loss, [p, b])
+    fd_check(loss, [x, w])
+
+
+def test_pair_linear_rejects_bad_shapes():
+    x = nk.constant(np.ones((3, 2)))
+    with pytest.raises(ShapeError, match="weight"):
+        nk.pair_linear(x, np.ones((3, 4)), [0], [1])
+    with pytest.raises(ShapeError, match="index vectors"):
+        nk.pair_linear(x, np.ones((2, 4)), [0, 1], [1])
+    with pytest.raises(ShapeError, match="outside 0..2"):
+        nk.pair_linear(x, np.ones((2, 4)), [0], [3])
 
 
 def test_relu():
