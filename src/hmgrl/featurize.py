@@ -45,15 +45,16 @@ _CLASS_OF_CODE[[ord(ch) for ch in SMILES_VOCAB]] = np.arange(len(SMILES_VOCAB))
 class DrugTable:
     """Ordered drug ids with SMILES strings and binary descriptor sequences.
 
-    A table is not changed after it is built: what is derived from it, such
-    as its similarity graph, is built once and shared by every model on it.
+    A table is not changed after it is built: its arrays, and what is derived
+    from them such as its similarity graph, are held once and read in place
+    by every model on it.
     """
 
     ids: list[str]
     smiles: list[str]
-    targets: np.ndarray        # N x T, 0/1
-    enzymes: np.ndarray        # N x E, 0/1
-    substructures: np.ndarray  # N x S, 0/1
+    targets: np.ndarray        # N x T, float64 0.0/1.0
+    enzymes: np.ndarray        # N x E, float64 0.0/1.0
+    substructures: np.ndarray  # N x S, float64 0.0/1.0
     index: dict[str, int] = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -61,10 +62,10 @@ class DrugTable:
         if len(set(self.ids)) != n:
             raise ValidationError("drug ids must be unique")
         for name in DESCRIPTOR_KINDS:
-            mat = np.asarray(getattr(self, name), dtype=np.int64)
+            mat = np.asarray(getattr(self, name), dtype=np.float64)
             if mat.shape[0] != n:
                 raise ValidationError(f"{name} has {mat.shape[0]} rows for {n} drugs")
-            if mat.size and (mat.min() < 0 or mat.max() > 1):
+            if ((mat != 0) & (mat != 1)).any():   # NaN is neither
                 raise ValidationError(f"{name} must be 0/1")
             setattr(self, name, mat)
         if len(self.smiles) != n:
@@ -224,8 +225,7 @@ def read_drug_table(path) -> DrugTable:
 
     if len(lines) < 2:
         raise DataError("drug table has no drugs", path)
-    mats = [np.zeros((len(lines) - 1, sizes[kind]), dtype=np.int64)
-            for kind in DESCRIPTOR_KINDS]
+    mats = [np.zeros((len(lines) - 1, sizes[kind])) for kind in DESCRIPTOR_KINDS]
     ids, smiles = [], []
     for i, (line_no, line) in enumerate(lines[1:]):
         fields = line.split("\t")

@@ -3,8 +3,8 @@ relation-aware embedding passes built on them.
 
 The interaction graph holds one symmetric edge list per event type
 (training edges only); the similarity graph holds one dense
-attribute-similarity adjacency per descriptor kind. Both are immutable after
-construction.
+attribute-similarity adjacency per descriptor kind, the three side by side
+in one block. Both are immutable after construction.
 """
 
 from __future__ import annotations
@@ -116,16 +116,19 @@ class RelGraph:
 @dataclass
 class DDSGraph:
     """Dense similarity adjacencies, one per descriptor kind, keyed in
-    DESCRIPTOR_KINDS order."""
+    DESCRIPTOR_KINDS order. They are held once, side by side in the N x 3N
+    block `stacked` (the relational layer's input); `similarities[kind]` is
+    a column view of it."""
 
     similarities: dict[str, np.ndarray]
+    stacked: np.ndarray = field(init=False, repr=False)
     normalized: dict = field(init=False, repr=False)
 
     def __post_init__(self):
         if tuple(self.similarities) != DESCRIPTOR_KINDS:
             raise ValidationError(f"similarities must be keyed {DESCRIPTOR_KINDS} in "
                                   f"order, got {tuple(self.similarities)}")
-        checked = {}
+        checked = []
         for name, sim in self.similarities.items():
             m = np.asarray(sim, dtype=np.float64)
             if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -134,9 +137,11 @@ class DDSGraph:
                 raise ValidationError(f"{name}: similarity matrix must be symmetric")
             if m.min() < -1e-12 or m.max() > 1 + 1e-12:
                 raise ValidationError(f"{name}: similarities must lie in [0, 1]")
-            checked[name] = m
-        self.similarities = checked
-        self.normalized = {name: normalize_adjacency(m) for name, m in checked.items()}
+            checked.append(m)
+        self.stacked = np.hstack(checked)
+        self.similarities = dict(zip(DESCRIPTOR_KINDS, np.hsplit(self.stacked, len(checked))))
+        self.normalized = {name: normalize_adjacency(m)
+                           for name, m in self.similarities.items()}
 
     @classmethod
     def from_table(cls, table: DrugTable) -> "DDSGraph":

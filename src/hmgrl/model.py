@@ -94,7 +94,7 @@ class _NoDraws:
 
 
 class HmgrlModel:
-    """All named parameters plus the table-level constant features. The
+    """All named parameters; the drug table's arrays are read in place. The
     parameters are a seeded initialization, or the given named `arrays`
     themselves (a checkpoint's), checked by load_arrays; then none is drawn."""
 
@@ -109,13 +109,9 @@ class HmgrlModel:
 
         # constant table-level features
         self.dds = table.similarity_graph
-        self.initial_features = np.hstack(   # N x 3N
-            list(self.dds.similarities.values()))
         self.smiles_index = encode_smiles_table(table.smiles)  # N x 100
-        self.descriptors = {kind: nk.constant(getattr(table, kind))  # N x T, float
-                            for kind in DESCRIPTOR_KINDS}
 
-        d_in = self.initial_features.shape[1]
+        d_in = self.dds.stacked.shape[1]
         d_embed = config.embed_dim
         d_att = config.attention_dim
         d_emb_out = config.embedding_encoder_dim
@@ -200,7 +196,7 @@ class HmgrlModel:
 
     def drug_embeddings(self, graph: RelGraph) -> nk.Tensor:
         """Graph pass: relational aggregation, similarity propagation, fusion."""
-        x = nk.constant(self.initial_features)
+        x = nk.constant(self.dds.stacked)
         for rel, own in self.rgcn_layers:
             x = rgcn_forward(graph, x, rel, own)
         channels = dds_propagate(self.dds, x, self.config.propagation_hops)
@@ -260,7 +256,8 @@ class HmgrlModel:
             us, vs = us[dominant], vs[dominant]  # only the views read them on
 
         # without labels no loss is formed, so the views skip their regularizers
-        clustered = mvdsc_forward(features, self.descriptors, us, vs, self.views,
+        descriptors = {kind: getattr(self.table, kind) for kind in DESCRIPTOR_KINDS}
+        clustered = mvdsc_forward(features, descriptors, us, vs, self.views,
                                   regularize=labels_used is not None)
         probs = self.decode(clustered.representation, training, dropout_rng)
 

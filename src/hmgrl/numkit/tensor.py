@@ -1,6 +1,6 @@
 """Dense 2-D tensors with reverse-mode differentiation.
 
-Every value is a float64 matrix (scalars are 1x1). Ops append a backward
+Every value is a 2-D float64 matrix (a loss is 1x1). Ops append a backward
 closure to the active Tape in forward order; Tape.backward replays them in
 exact reverse order, so the traversal is a valid reverse topological order
 of the define-by-run graph. The tape is rebuilt every forward pass and
@@ -91,11 +91,7 @@ class Tensor:
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
-        if arr.ndim == 0:
-            arr = arr.reshape(1, 1)
-        elif arr.ndim == 1:
-            arr = arr.reshape(1, -1)
-        elif arr.ndim != 2:
+        if arr.ndim != 2:
             raise ShapeError(f"tensors are 2-D, got ndim={arr.ndim}")
         self.data = arr
         self.grad = None

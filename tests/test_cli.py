@@ -525,6 +525,41 @@ def test_eval_unknown_test_event_type_names_interaction_file(
     assert f"{ddis}: event type 8 is not among the checkpoint's 0..7" in err
 
 
+@pytest.mark.parametrize("flags, averaging", [
+    ([], "micro-curves/macro-prf"),
+    (["--macro-auc"], "macro-curves/macro-prf"),
+], ids=["run-config", "macro-auc-flag"])
+def test_eval_macro_auc_flag_overrides_the_run_config(event8_run, tmp_path, flags,
+                                                      averaging):
+    _, run_dir, _ = event8_run
+    run = tmp_path / "run"
+    shutil.copytree(run_dir, run)
+    assert run_cli("eval", "--run", run, *flags) == 0
+    metrics = json.loads((run / "metrics" / "metrics.json").read_text())
+    assert [fold["averaging"] for fold in metrics["folds"]] == [averaging]
+
+
+def test_eval_missing_checkpoint_is_data_error_naming_it(event8_run, tmp_path, capsys):
+    _, run_dir, _ = event8_run
+    run = tmp_path / "run"
+    shutil.copytree(run_dir, run)
+    ckpt = run / "checkpoint" / "fold0.ckpt"
+    ckpt.unlink()
+    assert run_cli("eval", "--run", run) == EXIT_DATA
+    assert f"{ckpt}: missing checkpoint for fold 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("given", [(), ("drugs",), ("ddis",)],
+                         ids=["neither", "drugs-only", "ddis-only"])
+def test_train_without_its_data_files_is_usage_error(synth_dir, tmp_path, capsys,
+                                                     given):
+    files = [x for name in given for x in (f"--{name}", synth_dir / f"{name}.tsv")]
+    out = tmp_path / "run"
+    assert run_cli("train", *files, "--preset", "micro", "--out", out) == EXIT_USAGE
+    assert "train needs --drugs and --ddis" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_synth_many_events_picks_enough_classes(tmp_path):
     from hmgrl.featurize import read_drug_table, write_drug_table
     from hmgrl.graphcore import read_ddi_file, write_ddi_file

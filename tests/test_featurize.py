@@ -7,7 +7,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hmgrl import featurize
-from hmgrl.config import apply_preset
 from hmgrl.errors import DataError, UnknownDrugError, ValidationError
 from hmgrl.featurize import (
     DESCRIPTOR_KINDS,
@@ -23,7 +22,6 @@ from hmgrl.featurize import (
     read_drug_table,
     write_drug_table,
 )
-from hmgrl.model import HmgrlModel
 from hmgrl.synth import SynthSpec, generate
 
 
@@ -71,8 +69,8 @@ def test_cosine_length_mismatch():
 
 
 def initial_features(table):
-    """The model's N x 3N node features, as its constructor builds them."""
-    return HmgrlModel(apply_preset("micro"), table, n_relations=2).initial_features
+    """The model's N x 3N node features: the table's stacked similarities."""
+    return table.similarity_graph.stacked
 
 
 def test_initial_features_all_identical_attributes():
@@ -185,11 +183,11 @@ def test_encode_smiles_table_matches_encode_smiles_row_by_row():
 
 
 def test_drug_table_binary_check_takes_every_entry():
-    for bad in ([[-1], [0]], [[0], [1.5 + 1]]):
+    for bad in ([[-1], [0]], [[0], [1.5 + 1]], [[0.5], [1]], [[np.nan], [1]]):
         with pytest.raises(ValidationError, match="targets must be 0/1"):
             DrugTable(["a", "b"], ["C", "C"], bad, [[0], [1]], [[1], [1]])
     empty = DrugTable(["a", "b"], ["C", "C"], np.zeros((2, 0)), [[0], [1]], [[1], [1]])
-    assert empty.targets.shape == (2, 0) and empty.targets.dtype == np.int64
+    assert empty.targets.shape == (2, 0) and empty.targets.dtype == np.float64
 
 
 def test_negative_universe_size_is_a_header_error(tmp_path):

@@ -15,6 +15,7 @@ from hmgrl.graphcore import RelGraph
 from hmgrl.model import (
     DdiDataset,
     HmgrlModel,
+    _batches,
     load_model,
     loss_ce,
     mixup_batch,
@@ -321,6 +322,13 @@ def test_train_record_total_is_affine_combination():
         assert rec.loss_total == pytest.approx(expected, abs=1e-12)
 
 
+def test_batches_merge_a_one_pair_tail_into_the_previous_batch():
+    order = np.random.default_rng(0).permutation(9)
+    batches = _batches(9, 4, order)
+    assert [len(b) for b in batches] == [4, 5]
+    assert np.array_equal(np.concatenate(batches), order)
+
+
 def test_training_is_deterministic():
     data = micro_dataset()
     cfg = micro_config(epochs=2, batch_size=8, dropout_rate=0.2, mixup=True)
@@ -417,6 +425,46 @@ def test_models_on_one_table_share_its_similarity_graph(tmp_path, monkeypatch):
     graph = RelGraph.from_triples(data.n_drugs, data.n_relations, data.triples)
     pairs = random_pairs(np.random.default_rng(2), data.n_drugs, 20)
     assert np.array_equal(predict(first, graph, pairs)[1], predict(second, graph, pairs)[1])
+
+
+def test_a_forward_reads_the_tables_arrays_in_place(monkeypatch):
+    import hmgrl.model as model_module
+
+    data, model, graph = untrained_micro_model()
+    rgcn_reads, pair_reads = [], []
+    rgcn, pair_linear = model_module.rgcn_forward, nk.pair_linear
+    monkeypatch.setattr(model_module, "rgcn_forward", lambda g, x, *args: (
+        rgcn_reads.append(nk.as_tensor(x).data) or rgcn(g, x, *args)))
+    monkeypatch.setattr(nk, "pair_linear", lambda x, *args, **kwargs: (
+        pair_reads.append(nk.as_tensor(x).data) or pair_linear(x, *args, **kwargs)))
+    predict(model, graph, random_pairs(np.random.default_rng(3), data.n_drugs, 10))
+    stacked = data.table.similarity_graph.stacked
+    assert np.shares_memory(rgcn_reads[0], stacked)   # the first relational layer
+    # one similarity encoder per kind reads its column block of the stack
+    assert sum(np.shares_memory(x, stacked) for x in pair_reads) == 3
+    for kind in featurize.DESCRIPTOR_KINDS:   # each sequence view's source
+        assert any(np.shares_memory(x, getattr(data.table, kind)) for x in pair_reads)
+
+
+def test_a_model_from_checkpoint_arrays_copies_nothing_from_its_table():
+    # 300 drugs with dataset 1's descriptor widths: a model that copied the
+    # table's 5.1 MiB of descriptors would allocate at least that; one that
+    # reads them in place allocates ~0.25 MiB
+    spec = SynthSpec(seed=0, n_drugs=300, n_events=8, density=0.05,
+                     targets_size=1162, enzymes_size=202, substructures_size=881)
+    table, _ = generate(spec)
+    arrays = HmgrlModel(micro_config(), table, 8, seed=0).named_arrays()
+    descriptor_bytes = sum(getattr(table, kind).nbytes
+                           for kind in featurize.DESCRIPTOR_KINDS)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        HmgrlModel(micro_config(), table, 8, arrays=arrays)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < descriptor_bytes, (f"traced peak {peak / 2**20:.1f} MiB against "
+                                     f"{descriptor_bytes / 2**20:.1f} MiB of descriptors")
 
 
 def test_seeded_checkpoint_bytes_are_pinned(tmp_path):

@@ -179,6 +179,12 @@ def test_orthogonality_loss_nonnegative_random():
         assert loss.item() >= 0.0
 
 
+def test_orthogonality_loss_is_zero_when_every_head_is_degenerate():
+    dead = nk.constant(np.zeros((4, 2)))
+    loss, skipped = loss_orthogonality([dead, dead])
+    assert skipped == 2 and loss.item() == 0.0
+
+
 def symmetric_stochastic_adjacency(rng, k):
     """Random symmetric row-stochastic matrix: a convex mixture of
     symmetrized permutations. In this regime the stated [-1, 0] bound is a

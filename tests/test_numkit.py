@@ -392,6 +392,25 @@ def test_elementwise_ops_skip_the_gradient_of_a_constant_operand(op):
     assert np.array_equal(p.grad, expected)
 
 
+def test_sub_gradients_reach_both_operands():
+    rng = np.random.default_rng(12)
+    a, b = (nk.parameter(rng.normal(size=(3, 4))) for _ in range(2))
+    w = rng.normal(size=(3, 4))
+
+    def loss():
+        diff = nk.sub(a, b)
+        return nk.sum_all(nk.mul(nk.mul(diff, diff), nk.constant(w)))
+
+    fd_check(loss, [a, b])
+
+
+@pytest.mark.parametrize("data", [1.0, [1.0, 2.0], np.zeros((2, 2, 2))],
+                         ids=["0-d", "1-d", "3-d"])
+def test_tensor_data_must_be_2d(data):
+    with pytest.raises(ShapeError, match="tensors are 2-D"):
+        nk.constant(data)
+
+
 def test_div_frobenius_layernorm_gradients():
     rng = np.random.default_rng(11)
     x = nk.parameter(rng.normal(size=(4, 3)) + 2.0)
