@@ -45,7 +45,6 @@ class RunConfig:
     regularizer_weight: float = 0.2  # alpha
 
     # structural knobs
-    rgcn_depth: int = 1
     cnn_channels: tuple = (32, 64, 96)
     cnn_kernels: tuple = (4, 6, 8)
     token_count: int = 4
@@ -54,15 +53,11 @@ class RunConfig:
     dsc_proj_dim: int = 0        # 0 = attention_dim
     decoder_hidden: int = 256
 
-    # optimizer
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
+    # optimizer (Adam's betas and eps are numkit's defaults)
     rectified: bool = False
 
     # augmentation / protocol
     mixup: bool = False
-    mixup_alpha: float = 1.0
     macro_auc: bool = False
 
     def __post_init__(self):
@@ -82,17 +77,15 @@ class RunConfig:
         for name in ("propagation_hops", "dsc_proj_dim"):
             if getattr(self, name) < 0:
                 raise ParameterError(f"{name} must be >= 0, got {getattr(self, name)!r}")
-        for name in ("learning_rate", "mixup_alpha", "adam_eps"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ParameterError(f"{name} must be finite and > 0, got {value!r}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ParameterError(f"learning_rate must be finite and > 0, "
+                                 f"got {self.learning_rate!r}")
         if not (math.isfinite(self.regularizer_weight) and self.regularizer_weight >= 0):
             raise ParameterError(f"regularizer_weight must be finite and >= 0, "
                                  f"got {self.regularizer_weight!r}")
-        for name in ("dropout_rate", "adam_beta1", "adam_beta2"):
-            value = getattr(self, name)
-            if not 0.0 <= value < 1.0:     # also rejects nan
-                raise ParameterError(f"{name} must be in [0, 1), got {value!r}")
+        if not 0.0 <= self.dropout_rate < 1.0:     # also rejects nan
+            raise ParameterError(f"dropout_rate must be in [0, 1), "
+                                 f"got {self.dropout_rate!r}")
         if not self.cnn_channels or len(self.cnn_channels) != len(self.cnn_kernels):
             raise ParameterError("cnn_channels and cnn_kernels must pair up, "
                                  "one entry per stage and at least one stage")
@@ -115,7 +108,8 @@ class RunConfig:
     def from_dict(cls, data: dict) -> "RunConfig":
         data = dict(data)
         for key, value in _RETIRED.items():
-            if key in data and data.pop(key) is not value:
+            stored = data.pop(key, value)
+            if not (_fits(stored, value) and stored == value):
                 raise ParameterError(f"config key {key!r} is retired; a stored config "
                                      f"may only hold {value!r}")
         known = {f.name for f in dataclasses.fields(cls)}
@@ -132,15 +126,18 @@ class RunConfig:
         return dataclasses.replace(self, **kwargs)
 
 
-# Retired keys and the one value a stored config may hold for each: the
-# behaviour that value chose is now the only one. Configs and checkpoints
-# written before the keys were removed still carry them.
-_RETIRED = {"ffn_enabled": True, "positional_tokens": False}
+# Retired keys and the one value a stored config may hold for each (of its
+# type: 1 passes for 1.0, true does not pass for 1): the behaviour that value
+# chose is now the only one. Configs and checkpoints written before the keys
+# were removed still carry them.
+_RETIRED = {"ffn_enabled": True, "positional_tokens": False, "rgcn_depth": 1,
+            "adam_beta1": 0.9, "adam_beta2": 0.999, "adam_eps": 1e-8,
+            "mixup_alpha": 1.0}
 
 # dimension and count fields, each at least 1 (batch_size has its own floor)
 _COUNT_FIELDS = ("epochs", "embed_dim", "attention_dim", "embedding_encoder_dim",
-                 "dsc_heads", "dsc_clusters", "rgcn_depth", "token_count",
-                 "token_dim", "attn_heads", "decoder_hidden")
+                 "dsc_heads", "dsc_clusters", "token_count", "token_dim",
+                 "attn_heads", "decoder_hidden")
 
 
 def _fits(value, default) -> bool:

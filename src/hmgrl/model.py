@@ -53,7 +53,7 @@ class DdiDataset:
         table = read_drug_table(drug_table_path)
         triples = read_ddi_file(ddi_path, table)
         if not triples:
-            raise ValidationError("dataset has no interactions")
+            raise DataError("dataset has no interactions", path=ddi_path)
         n_relations = max(r for _, _, r in triples) + 1
         return cls(table, triples, n_relations)
 
@@ -120,17 +120,11 @@ class HmgrlModel:
 
         self.params: dict[str, nk.Tensor] = {}
 
-        # relational layers: first maps 3N -> d', deeper ones d' -> d'
-        self.rgcn_layers = []
-        for layer in range(config.rgcn_depth):
-            fan_in = d_in if layer == 0 else d_embed
-            rel = [nk.xavier_uniform(init_rng, fan_in, d_embed)
-                   for _ in range(n_relations)]
-            own = nk.xavier_uniform(init_rng, fan_in, d_embed)
-            for r, w in enumerate(rel):
-                self.params[f"rgcn{layer}.rel{r}"] = w
-            self.params[f"rgcn{layer}.self"] = own
-            self.rgcn_layers.append((rel, own))
+        # the relational layer maps the stacked similarities (3N) to d'; its
+        # weights keep the `rgcn0.` names that saved checkpoints hold
+        for r in range(n_relations):
+            self.params[f"rgcn0.rel{r}"] = nk.xavier_uniform(init_rng, d_in, d_embed)
+        self.params["rgcn0.self"] = nk.xavier_uniform(init_rng, d_in, d_embed)
 
         for kind in DESCRIPTOR_KINDS:
             self.params[f"fuse.{kind}"] = nk.xavier_uniform(init_rng, d_embed, d_embed)
@@ -196,9 +190,9 @@ class HmgrlModel:
 
     def drug_embeddings(self, graph: RelGraph) -> nk.Tensor:
         """Graph pass: relational aggregation, similarity propagation, fusion."""
-        x = nk.constant(self.dds.stacked)
-        for rel, own in self.rgcn_layers:
-            x = rgcn_forward(graph, x, rel, own)
+        x = rgcn_forward(graph, nk.constant(self.dds.stacked),
+                         [self.params[f"rgcn0.rel{r}"] for r in range(self.n_relations)],
+                         self.params["rgcn0.self"])
         channels = dds_propagate(self.dds, x, self.config.propagation_hops)
         return fuse_ragse(channels, [self.params[f"fuse.{kind}"]
                                      for kind in DESCRIPTOR_KINDS])
@@ -233,7 +227,12 @@ class HmgrlModel:
                 mixup_rng: np.random.Generator | None = None) -> ForwardResult:
         """Score a batch of drug pairs. Each layer that reads a pair's two
         drugs runs on per-drug rows, gathered by the pairs' two index vectors."""
-        pairs = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
+        pairs = np.asarray(pairs, dtype=np.intp)
+        if pairs.size == 0:
+            pairs = pairs.reshape(0, 2)
+        if pairs.ndim != 2 or pairs.shape[1] != 2:
+            raise ValidationError(f"pairs must be K x 2 drug indices, "
+                                  f"got shape {pairs.shape}")
         in_range = ((pairs >= 0) & (pairs < self.n_drugs)).all(axis=1)
         bad = ~in_range | (pairs[:, 0] == pairs[:, 1])
         if bad.any():
@@ -251,8 +250,7 @@ class HmgrlModel:
         if training and self.config.mixup and labels is not None:
             if mixup_rng is None:
                 raise ParameterError("mixup needs an RNG")
-            features, labels_used, dominant = mixup_batch(
-                features, labels, mixup_rng, self.config.mixup_alpha)
+            features, labels_used, dominant = mixup_batch(features, labels, mixup_rng)
             us, vs = us[dominant], vs[dominant]  # only the views read them on
 
         # without labels no loss is formed, so the views skip their regularizers
@@ -288,11 +286,10 @@ def total_loss(ce: nk.Tensor, regularizer: nk.Tensor, weight: float) -> nk.Tenso
     return nk.add(ce, nk.scale(regularizer, float(weight)))
 
 
-def mixup_batch(features: nk.Tensor, labels: np.ndarray,
-                rng: np.random.Generator, alpha: float = 1.0):
+def mixup_batch(features: nk.Tensor, labels: np.ndarray, rng: np.random.Generator):
     """Convexly mix features and labels with a random permutation partner.
 
-    One lambda ~ Beta(alpha, alpha) per batch. Returns (mixed features, mixed
+    One lambda ~ Beta(1, 1) per batch. Returns (mixed features, mixed
     labels, dominant): the integer sequence sources are not convex-combinable,
     so the clustering views read the sequences of the batch rows `dominant`,
     each row's lambda-dominant partner.
@@ -300,7 +297,7 @@ def mixup_batch(features: nk.Tensor, labels: np.ndarray,
     k = features.shape[0]
     if k < 2:
         raise ParameterError("mixup needs at least 2 pairs")
-    lam = float(rng.beta(alpha, alpha))
+    lam = float(rng.beta(1.0, 1.0))
     perm = rng.permutation(k)
     mixed = nk.add(nk.scale(features, lam),
                    nk.scale(nk.gather_rows(features, perm), 1.0 - lam))
@@ -348,9 +345,7 @@ def train_fold(config: RunConfig, dataset: DdiDataset, fold: Fold,
     dropout_rng = np.random.default_rng(dropout_seed)
     mixup_rng = np.random.default_rng(mixup_seed)
 
-    state = nk.OptimizerState(lr=config.learning_rate, beta1=config.adam_beta1,
-                              beta2=config.adam_beta2, eps=config.adam_eps,
-                              rectified=config.rectified)
+    state = nk.OptimizerState(lr=config.learning_rate, rectified=config.rectified)
     pair_array = np.array([(u, v) for u, v, _ in fold.train], dtype=np.intp)
     label_array = one_hot([r for _, _, r in fold.train], dataset.n_relations)
 

@@ -50,19 +50,6 @@ def _central_difference(f, x: np.ndarray, idx, h: float) -> float:
     return (f_plus - f_minus) / (2.0 * h)
 
 
-def finite_difference_grad(f, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
-    """Central differences of scalar f at every coordinate of x.
-
-    f is called with the (mutated in place, then restored) array; it must be
-    finite in an h-neighborhood.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    out = np.zeros_like(x)
-    for idx in np.ndindex(x.shape):
-        out[idx] = _central_difference(f, x, idx, h)
-    return out
-
-
 def gradcheck(loss_fn, params: dict, config: FdConfig | None = None,
               rng: np.random.Generator | None = None) -> dict[str, dict]:
     """Compare analytic gradients against central differences.

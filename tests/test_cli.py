@@ -217,10 +217,13 @@ def test_malformed_data_line_names_file_and_line(synth_dir, tmp_path, capsys,
     (b'{"no_such_key": 1}', "unknown config keys"),
     (b'{"ffn_enabled": false}', "'ffn_enabled' is retired"),
     (b'{"positional_tokens": true}', "'positional_tokens' is retired"),
+    (b'{"adam_beta1": 0.5}', "'adam_beta1' is retired"),
+    (b'{"rgcn_depth": true}', "'rgcn_depth' is retired"),   # 1, but not an int
     (None, "No such file or directory"),   # None: the file does not exist
 ], ids=["not-json", "not-object", "not-utf8", "int-field", "float-field",
         "bool-field", "tuple-field", "unknown-key", "retired-ffn-off",
-        "retired-positional-on", "missing"])
+        "retired-positional-on", "retired-beta1-half", "retired-depth-true",
+        "missing"])
 def test_bad_config_file_is_usage_error_naming_it(synth_dir, tmp_path, capsys,
                                                   text, message):
     cfg = tmp_path / "cfg.json"
@@ -247,7 +250,6 @@ OUT_OF_DOMAIN = [
     (["--embedding-encoder-dim", 0], "embedding_encoder_dim"),
     (["--dsc-heads", 0], "dsc_heads"),
     (["--dsc-clusters", 0], "dsc_clusters"),
-    (["--rgcn-depth", 0], "rgcn_depth"),
     (["--token-count", 0], "token_count"),
     (["--token-dim", 0], "token_dim"),
     (["--attn-heads", 0], "attn_heads"),
@@ -260,14 +262,16 @@ OUT_OF_DOMAIN = [
     (["--learning-rate", 0], "learning_rate"),
     (["--regularizer-weight", "nan"], "regularizer_weight"),
     (["--regularizer-weight", -0.5], "regularizer_weight"),
-    (["--mixup", "--mixup-alpha", 0], "mixup_alpha"),
-    (["--adam-eps", 0], "adam_eps"),
-    (["--adam-beta1", 1], "adam_beta1"),
-    (["--adam-beta2", 1], "adam_beta2"),
-    (["--adam-beta2", "nan"], "adam_beta2"),
+    (["--batch-size", 1], "batch_size"),
     ({"cnn_channels": [4, 0, 6]}, "cnn_channels"),
     ({"cnn_kernels": [3, 5, -7]}, "cnn_kernels"),
     ({"cnn_channels": [], "cnn_kernels": []}, "cnn_channels"),
+    ({"rgcn_depth": 0}, "rgcn_depth"),   # retired keys hold one value
+    ({"mixup_alpha": 0}, "mixup_alpha"),
+    ({"adam_eps": 0}, "adam_eps"),
+    ({"adam_beta1": 1}, "adam_beta1"),
+    ({"adam_beta2": 1}, "adam_beta2"),
+    ({"adam_beta2": float("nan")}, "adam_beta2"),
 ]
 
 
@@ -281,7 +285,7 @@ def _domain_row_id(flags) -> str:
                          ids=[_domain_row_id(flags) for flags, _ in OUT_OF_DOMAIN])
 def test_config_value_out_of_domain_is_usage_error_naming_field(
         synth_dir, tmp_path, capsys, flags, field):
-    if isinstance(flags, dict):   # tuple fields have no flag: use a config file
+    if isinstance(flags, dict):   # tuple and retired fields have no flag: a config file
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(flags))
         flags = ["--config", cfg]
@@ -330,16 +334,19 @@ def test_stored_config_with_retired_keys_loads(tmp_path):
     from hmgrl.config import RunConfig, apply_preset, load_config
 
     cfg = apply_preset("small").replace(seed=3)
-    stored = {**cfg.as_dict(), "ffn_enabled": True, "positional_tokens": False}
+    stored = {**cfg.as_dict(), "ffn_enabled": True, "positional_tokens": False,
+              "rgcn_depth": 1, "adam_beta1": 0.9, "adam_beta2": 0.999,
+              "adam_eps": 1e-8, "mixup_alpha": 1.0}
     assert RunConfig.from_dict(stored) == cfg
+    assert RunConfig.from_dict({**stored, "mixup_alpha": 1}) == cfg  # an int 1.0
     path = tmp_path / "config.json"
     path.write_text(json.dumps(stored))
     assert load_config(path) == cfg
 
 
 # Every RunConfig field but the data paths and the fold selection, each with
-# an in-domain change from the micro preset and the flags it is read under
-# (mixup_alpha only with mixup on). A dict row holds config-file entries:
+# an in-domain change from the micro preset and the flags it is read under.
+# A dict row holds config-file entries:
 # the tuple fields have no flag, and --preset would overwrite `preset`. Each
 # change must alter the parameter set, the predictions, the first training
 # loss, the eval report or the preset echoed into metrics.json.
@@ -359,7 +366,6 @@ KNOBS = [
     (["--dsc-heads", 3], []),
     (["--dsc-clusters", 3], []),
     (["--regularizer-weight", 0.5], []),
-    (["--rgcn-depth", 2], []),
     ({"cnn_channels": [4, 5, 7]}, []),
     ({"cnn_kernels": [3, 5, 5]}, []),
     (["--token-count", 3], []),
@@ -367,12 +373,8 @@ KNOBS = [
     (["--attn-heads", 1], []),
     (["--dsc-proj-dim", 2], []),
     (["--decoder-hidden", 12], []),
-    (["--adam-beta1", 0.5], []),
-    (["--adam-beta2", 0.9], []),
-    (["--adam-eps", 1e-3], []),
     (["--rectified"], []),
     (["--mixup"], []),
-    (["--mixup-alpha", 0.4], ["--mixup"]),
     (["--macro-auc"], []),
 ]
 
@@ -560,6 +562,15 @@ def test_train_without_its_data_files_is_usage_error(synth_dir, tmp_path, capsys
     assert not out.exists()
 
 
+def test_train_on_an_empty_interaction_file_is_data_error_naming_it(
+        synth_dir, tmp_path, capsys):
+    ddis = tmp_path / "ddis.tsv"
+    ddis.write_text("")
+    assert run_cli("train", "--drugs", synth_dir / "drugs.tsv", "--ddis", ddis,
+                   "--preset", "micro", "--out", tmp_path / "run") == EXIT_DATA
+    assert f"{ddis}: dataset has no interactions" in capsys.readouterr().err
+
+
 def test_synth_many_events_picks_enough_classes(tmp_path):
     from hmgrl.featurize import read_drug_table, write_drug_table
     from hmgrl.graphcore import read_ddi_file, write_ddi_file
@@ -734,6 +745,8 @@ def _corrupt_checkpoints(blob: bytes):
     for key, value in [("config", None), ("n_drugs", None), ("n_relations", None),
                        ("config", "x"), ("config", {"no_such_field": 1}),
                        ("config", {**meta["config"], "batch_size": "x"}),
+                       ("config", {**meta["config"], "adam_beta1": 0.5}),
+                       ("config", {**meta["config"], "rgcn_depth": True}),
                        ("n_drugs", "12"), ("n_drugs", meta["n_drugs"] + 1),
                        ("n_relations", 0), ("n_relations", meta["n_relations"] + 1),
                        ("n_relations", len(records) + 1)]:

@@ -1,4 +1,5 @@
 import ast
+import re
 from pathlib import Path
 
 import numpy as np
@@ -192,10 +193,22 @@ def test_drug_table_binary_check_takes_every_entry():
 
 def test_negative_universe_size_is_a_header_error(tmp_path):
     path = tmp_path / "neg.tsv"
-    path.write_text("#universe\ttargets=2\tenzymes=-1\tsubstructures=2\n"
-                    "d1\tCC\t0\t\t1\n")
-    with pytest.raises(DataError, match=r":1: bad universe size 'enzymes=-1'"):
-        read_drug_table(path)
+    drug = "d1\tCC\t0\t\t1\n"
+    for text, message in [
+        ("#universe\ttargets=2\tenzymes=-1\tsubstructures=2\n" + drug,
+         ":1: bad universe size 'enzymes=-1'"),
+        ("#universe\ttargets=2\tenzymes=x\tsubstructures=2\n" + drug,
+         ":1: bad universe size 'enzymes=x'"),
+        ("#universe\ttargets=2\tenzymes=1\n" + drug, ":1: bad header line"),
+        ("#kinds\ttargets=2\tenzymes=1\tsubstructures=2\n" + drug, ":1: bad header line"),
+        ("", ":1: bad header line"),
+        ("#universe\ttargets=2\tenzymes=1\tsmiles=2\n" + drug,
+         ":1: header missing sizes for ['substructures']"),
+        ("#universe\ttargets=2\tenzymes=1\tsubstructures=2\n", ": drug table has no drugs"),
+    ]:
+        path.write_text(text)
+        with pytest.raises(DataError, match=re.escape(f"{path}{message}")):
+            read_drug_table(path)
 
 
 def per_piece_row(text, row, *where):

@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import re
 import tracemalloc
 import weakref
 
@@ -9,7 +10,12 @@ import pytest
 from hmgrl import featurize, graphcore
 from hmgrl import numkit as nk
 from hmgrl.config import apply_preset
-from hmgrl.errors import BatchSizeError, ShapeError, ValidationError
+from hmgrl.errors import (
+    BatchSizeError,
+    NumericError,
+    ShapeError,
+    ValidationError,
+)
 from hmgrl.evaluate import Fold, make_splits
 from hmgrl.graphcore import RelGraph
 from hmgrl.model import (
@@ -72,6 +78,7 @@ class FixedBeta:
         self.inner = np.random.default_rng(seed)
 
     def beta(self, a, b):
+        assert (a, b) == (1.0, 1.0)   # lambda ~ Beta(1, 1)
         return self.lam
 
     def permutation(self, n):
@@ -240,6 +247,17 @@ def test_predict_needs_two_pairs():
             predict(model, graph, pairs)
 
 
+@pytest.mark.parametrize("pairs, shape", [
+    ([(1, 2, 3), (4, 5, 6)], "(2, 3)"),   # (u, v, event) triples
+    ([1, 2, 3, 4], "(4,)"),
+    (np.ones((2, 1, 2)), "(2, 1, 2)"),
+], ids=["triples", "flat", "three-dim"])
+def test_predict_rejects_pairs_not_k_by_2_naming_the_shape(pairs, shape):
+    _, model, graph = untrained_micro_model()
+    with pytest.raises(ValidationError, match=re.escape(f"got shape {shape}")):
+        predict(model, graph, pairs)
+
+
 def test_unlabelled_predict_never_holds_a_k_by_k_matrix():
     data, model, graph = untrained_micro_model()
     k = 2000
@@ -320,6 +338,28 @@ def test_train_record_total_is_affine_combination():
     for rec in records:
         expected = rec.loss_ce + cfg.regularizer_weight * rec.loss_dsc
         assert rec.loss_total == pytest.approx(expected, abs=1e-12)
+
+
+def test_non_finite_loss_stops_training_naming_epoch_and_batch(monkeypatch):
+    import hmgrl.model
+
+    data = micro_dataset()
+    cfg = micro_config(epochs=2, batch_size=8)
+    plan = make_splits(data.triples, data.n_drugs, task=1, n_folds=3, seed=0)
+    per_epoch = len(_batches(len(plan.folds[0].train), cfg.batch_size,
+                             np.arange(len(plan.folds[0].train))))
+    calls = []
+    original = hmgrl.model.total_loss
+
+    def nan_at_second_epoch_batch_one(ce, regularizer, weight):
+        calls.append(None)
+        total = original(ce, regularizer, weight)
+        return nk.scale(total, np.nan) if len(calls) == per_epoch + 2 else total
+
+    monkeypatch.setattr(hmgrl.model, "total_loss", nan_at_second_epoch_batch_one)
+    with pytest.raises(NumericError, match="non-finite loss at epoch 1 batch 1: ce="):
+        train_fold(cfg, data, plan.folds[0], fold_index=0)
+    assert len(calls) == per_epoch + 2   # no step after the non-finite loss
 
 
 def test_batches_merge_a_one_pair_tail_into_the_previous_batch():
@@ -439,7 +479,7 @@ def test_a_forward_reads_the_tables_arrays_in_place(monkeypatch):
         pair_reads.append(nk.as_tensor(x).data) or pair_linear(x, *args, **kwargs)))
     predict(model, graph, random_pairs(np.random.default_rng(3), data.n_drugs, 10))
     stacked = data.table.similarity_graph.stacked
-    assert np.shares_memory(rgcn_reads[0], stacked)   # the first relational layer
+    assert np.shares_memory(rgcn_reads[0], stacked)   # the relational layer
     # one similarity encoder per kind reads its column block of the stack
     assert sum(np.shares_memory(x, stacked) for x in pair_reads) == 3
     for kind in featurize.DESCRIPTOR_KINDS:   # each sequence view's source
@@ -473,9 +513,13 @@ def test_seeded_checkpoint_bytes_are_pinned(tmp_path):
     path = tmp_path / "m.ckpt"
     save_model(path, HmgrlModel(micro_config(), data.table, data.n_relations, seed=5))
     payload = path.read_bytes()
-    assert len(payload) == 104659
+    assert len(payload) == 104563
     assert hashlib.sha256(payload).hexdigest() == (
-        "852ed56b6ef6e1214c8fde6bc6f8942eac15963f93147a99f57594b91ef5e307")
+        "3c8a373dc466b53d6b089d78df9d86b23622f18d2a7178734e2678ec4d5f2543")
+    # the tensor records after the meta line, which retiring a config key keeps
+    tensors = payload[payload.index(b"\n", len(nk.checkpoint.MAGIC)) + 1:]
+    assert hashlib.sha256(tensors).hexdigest() == (
+        "82c9a3ad09fdde0fe950ae1c60be21a6d73ce0f35e211ed0582021e8bfe70ce2")
 
 
 def test_loss_ce_shape_mismatch():

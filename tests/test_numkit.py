@@ -10,26 +10,15 @@ from hmgrl import numkit as nk
 from hmgrl.errors import NumericError, ParameterError, ShapeError
 from hmgrl.numkit.ops import GRAM_SUM_FLOOR
 from hmgrl.numkit.optim import ADAM_CHUNK
-from hmgrl.oracle import finite_difference_grad
+from hmgrl.oracle import FdConfig, gradcheck
 
 
 def fd_check(build_loss, params, rel_tol=1e-4, h=1e-5):
     """Analytic grads of build_loss() vs central differences, all coords."""
-    for p in params:
-        p.zero_grad()
-    with nk.Tape() as tape:
-        loss = build_loss()
-    tape.backward(loss)
-    for p in params:
-        analytic = p.grad.copy() if p.grad is not None else np.zeros_like(p.data)
-
-        def scalar():
-            with nk.no_grad():
-                return build_loss().item()
-
-        fd = finite_difference_grad(scalar, p.data, h=h)
-        denom = np.maximum(np.maximum(np.abs(fd), np.abs(analytic)), 1e-7)
-        assert (np.abs(fd - analytic) / denom).max() <= rel_tol
+    sweep = FdConfig(h=h, rel_tol=rel_tol,
+                     full_sweep_size=max(p.data.size for p in params))
+    report = gradcheck(build_loss, dict(enumerate(params)), sweep)
+    assert all(r["ok"] for r in report.values()), report
 
 
 def test_matmul_identity():

@@ -33,9 +33,7 @@ cfg = apply_preset("d1-task1")
 fold = make_splits(data.triples, data.n_drugs, task=1, n_folds=5, seed=0).folds[0]
 graph = RelGraph.from_triples(data.n_drugs, data.n_relations, fold.train)
 model = HmgrlModel(cfg, data.table, data.n_relations, seed=0)
-state = nk.OptimizerState(lr=cfg.learning_rate, beta1=cfg.adam_beta1,
-                          beta2=cfg.adam_beta2, eps=cfg.adam_eps,
-                          rectified=cfg.rectified)
+state = nk.OptimizerState(lr=cfg.learning_rate, rectified=cfg.rectified)
 pairs = np.array([(u, v) for u, v, _ in fold.train])
 labels = one_hot([r for _, _, r in fold.train], data.n_relations)
 rng = np.random.default_rng(0)
