@@ -4,7 +4,8 @@ relation-aware embedding passes built on them.
 The interaction graph holds one symmetric edge list per event type
 (training edges only); the similarity graph holds one dense
 attribute-similarity adjacency per descriptor kind, the three side by side
-in one block. Both are immutable after construction.
+in one block. Both are immutable after construction; the similarity graph
+only caches the adjacency powers that propagation asks for.
 """
 
 from __future__ import annotations
@@ -118,11 +119,13 @@ class DDSGraph:
     """Dense similarity adjacencies, one per descriptor kind, keyed in
     DESCRIPTOR_KINDS order. They are held once, side by side in the N x 3N
     block `stacked` (the relational layer's input); `similarities[kind]` is
-    a column view of it."""
+    a column view of it. `power` caches each normalized adjacency's powers,
+    so every model on the table shares them."""
 
     similarities: dict[str, np.ndarray]
     stacked: np.ndarray = field(init=False, repr=False)
     normalized: dict = field(init=False, repr=False)
+    powers: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
         if tuple(self.similarities) != DESCRIPTOR_KINDS:
@@ -142,6 +145,18 @@ class DDSGraph:
         self.similarities = dict(zip(DESCRIPTOR_KINDS, np.hsplit(self.stacked, len(checked))))
         self.normalized = {name: normalize_adjacency(m)
                            for name, m in self.similarities.items()}
+
+    def power(self, kind: str, hops: int) -> np.ndarray:
+        """A_hat^hops of one kind (hops >= 1), computed on first use with
+        hops - 1 GEMMs, A_hat (A_hat (... A_hat)), and kept; 1 is A_hat."""
+        if hops == 1:
+            return self.normalized[kind]
+        if (kind, hops) not in self.powers:
+            a_hat = p = self.normalized[kind]
+            for _ in range(hops - 1):
+                p = a_hat @ p
+            self.powers[kind, hops] = p
+        return self.powers[kind, hops]
 
     @classmethod
     def from_table(cls, table: DrugTable) -> "DDSGraph":
@@ -178,19 +193,17 @@ def dds_propagate(dds: DDSGraph, embeddings, hops: int):
     """Diffuse embeddings over each similarity channel for `hops` rounds.
 
     Returns one channel result per descriptor kind, in DESCRIPTOR_KINDS
-    order; 0 hops returns the input unchanged in every channel.
+    order; 0 hops returns the input unchanged in every channel. The hops
+    are linear, so each channel is one product with the cached power
+    A_hat^hops (DDSGraph.power), not `hops` products.
     """
     if hops < 0:
         raise ValidationError(f"hop count must be >= 0, got {hops}")
     embeddings = nk.as_tensor(embeddings)
-    out = []
-    for normalized in dds.normalized.values():
-        adj = nk.constant(normalized)
-        cur = embeddings
-        for _ in range(hops):
-            cur = nk.matmul(adj, cur)
-        out.append(cur)
-    return tuple(out)
+    if hops == 0:
+        return (embeddings,) * len(dds.normalized)
+    return tuple(nk.matmul(nk.constant(dds.power(kind, hops)), embeddings)
+                 for kind in dds.normalized)
 
 
 def fuse_ragse(channels, weights) -> nk.Tensor:

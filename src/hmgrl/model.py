@@ -8,6 +8,7 @@ take one optimizer step on cross-entropy plus the weighted regularizer.
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass
 
@@ -227,12 +228,7 @@ class HmgrlModel:
                 mixup_rng: np.random.Generator | None = None) -> ForwardResult:
         """Score a batch of drug pairs. Each layer that reads a pair's two
         drugs runs on per-drug rows, gathered by the pairs' two index vectors."""
-        pairs = np.asarray(pairs, dtype=np.intp)
-        if pairs.size == 0:
-            pairs = pairs.reshape(0, 2)
-        if pairs.ndim != 2 or pairs.shape[1] != 2:
-            raise ValidationError(f"pairs must be K x 2 drug indices, "
-                                  f"got shape {pairs.shape}")
+        pairs = _pair_array(pairs)
         in_range = ((pairs >= 0) & (pairs < self.n_drugs)).all(axis=1)
         bad = ~in_range | (pairs[:, 0] == pairs[:, 1])
         if bad.any():
@@ -267,6 +263,30 @@ class HmgrlModel:
             result.loss_total = total_loss(result.loss_ce, clustered.regularizer,
                                            self.config.regularizer_weight)
         return result
+
+
+def _pair_array(pairs) -> np.ndarray:
+    """K x 2 drug indices of a pair list or array, as np.intp; a ragged
+    list, another shape or an entry that is not an integer (a float, a
+    string, a bool) is a ValidationError naming it."""
+    try:
+        arr = np.asarray(pairs)
+    except ValueError:   # numpy refuses an inhomogeneous nesting
+        raise ValidationError("pairs must be K x 2 drug indices, got a ragged "
+                              "list") from None
+    if arr.size == 0:
+        return np.empty((0, 2), dtype=np.intp)
+    if arr.ndim != 2 or arr.shape[1] != 2:
+        raise ValidationError(f"pairs must be K x 2 drug indices, got shape {arr.shape}")
+    kind = arr.dtype.kind
+    if kind in "ui" and arr is not pairs and not {bool, np.bool_}.isdisjoint(
+            map(type, itertools.chain.from_iterable(pairs))):  # a list's bools read as ints
+        kind = "b"
+    if kind not in "ui":
+        what = {"b": "booleans", "f": "floats", "U": "strings", "O": "objects"}.get(
+            kind, arr.dtype.name)
+        raise ValidationError(f"pairs must hold integer drug indices, not {what}")
+    return arr.astype(np.intp, copy=False)
 
 
 # ------------------------------------------------------------------- losses

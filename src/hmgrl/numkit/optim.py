@@ -56,13 +56,18 @@ def adam_step(params: dict[str, Tensor], state: OptimizerState) -> None:
     """
     if state.lr <= 0:
         raise ParameterError(f"learning rate must be > 0, got {state.lr}")
-    for name, p in params.items():  # before any state or parameter changes
-        if p.grad is None:
-            continue
-        if p.grad.shape != p.data.shape:
-            raise ShapeError(f"{name}: grad shape {p.grad.shape} != param {p.data.shape}")
-        if not np.isfinite(p.grad).all():
-            raise NumericError(f"non-finite gradient in parameter {name!r}")
+    # g . g is one BLAS pass with no temporary, and a NaN or inf makes it
+    # non-finite; only then, or when a finite g's squares overflow, scan g
+    with np.errstate(over="ignore", invalid="ignore"):
+        for name, p in params.items():  # before any state or parameter changes
+            if p.grad is None:
+                continue
+            if p.grad.shape != p.data.shape:
+                raise ShapeError(f"{name}: grad shape {p.grad.shape} != "
+                                 f"param {p.data.shape}")
+            g = p.grad.ravel(order="K")
+            if not np.isfinite(np.dot(g, g)) and not np.isfinite(g).all():
+                raise NumericError(f"non-finite gradient in parameter {name!r}")
     state.step += 1
     t = state.step
     b1, b2 = state.beta1, state.beta2

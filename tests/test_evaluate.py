@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 from hmgrl.errors import ParameterError, ValidationError
-from hmgrl.evaluate import MetricReport, compute_metrics, make_splits, summarize_reports
+from hmgrl.evaluate import (
+    MetricReport,
+    _curve_areas,
+    compute_metrics,
+    make_splits,
+    summarize_reports,
+)
 from hmgrl.oracle import metric_oracle
 
 
@@ -114,6 +120,37 @@ def test_curve_areas_match_oracle_on_50_random_sets():
         aupr, auc = metric_oracle(scores.ravel(), labels.ravel() > 0.5)
         assert report.aupr == pytest.approx(aupr, abs=1e-9)
         assert report.auc == pytest.approx(auc, abs=1e-9)
+
+
+def stable_sort_curve_areas(scores, positives):
+    """Reference: the descending sweep over a stable sort, which keeps every
+    tie group in input order."""
+    n, n_pos = len(scores), int(positives.sum())
+    order = np.argsort(-scores, kind="stable")
+    s = scores[order]
+    ends = np.flatnonzero(np.append(s[1:] != s[:-1], True))
+    tp = np.cumsum(positives[order])[ends]
+    recall, precision = tp / n_pos, tp / (ends + 1)
+    aupr = np.cumsum(np.diff(recall, prepend=0.0) * precision)[-1]
+    starts = np.append(0, ends[:-1] + 1)
+    midranks = ((n - 1 - ends) + (n - 1 - starts)) / 2.0 + 1.0
+    rank_sum = (np.diff(tp, prepend=0) * midranks).sum()
+    auc = (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * (n - n_pos))
+    return float(aupr), float(auc)
+
+
+def test_curve_areas_are_those_of_a_stable_sort_to_the_bit():
+    # the sweep reads counts only at tie-group ends, so the order inside a
+    # group is free; scores drawn from few levels make large tie groups
+    rng = np.random.default_rng(37)
+    sizes = [150_000, 200_000] + [int(n) for n in np.geomspace(10, 200_000, 100)]
+    for n in sizes:
+        levels = int(rng.choice([2, 7, 100, 10_000]))
+        scores = rng.integers(0, levels, size=n) / levels
+        positives = rng.random(n) < rng.uniform(0.01, 0.5)
+        positives[:2] = True, False
+        assert _curve_areas(scores, positives) == stable_sort_curve_areas(
+            scores, positives), n
 
 
 def test_metrics_permutation_invariant():

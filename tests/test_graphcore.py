@@ -1,7 +1,10 @@
+import functools
+
 import numpy as np
 import pytest
 
 from hmgrl import numkit as nk
+from hmgrl.config import apply_preset
 from hmgrl.errors import DataError, ValidationError
 from hmgrl.featurize import DESCRIPTOR_KINDS, DrugTable
 from hmgrl.graphcore import (
@@ -14,6 +17,7 @@ from hmgrl.graphcore import (
     rgcn_forward,
     write_ddi_file,
 )
+from hmgrl.model import HmgrlModel
 from tests.test_numkit import fd_check
 
 
@@ -329,6 +333,62 @@ def test_dds_propagate_two_hops_is_matrix_square():
     out = dds_propagate(dds, nk.constant(x), 2)
     a_hat = dds.normalized["targets"]
     assert np.allclose(out[0].data, a_hat @ a_hat @ x, atol=1e-12)
+
+
+def hop_chain(dds, x, hops):
+    """Oracle: the channels as `hops` products with each A_hat in turn."""
+    out = []
+    for normalized in dds.normalized.values():
+        cur = x
+        for _ in range(hops):
+            cur = nk.matmul(nk.constant(normalized), cur)
+        out.append(cur)
+    return out
+
+
+def random_dds(rng, n):
+    return DDSGraph.from_table(DrugTable(
+        [f"d{i}" for i in range(n)], ["C"] * n,
+        *(rng.integers(0, 2, size=(n, width)) for width in (9, 5, 14))))
+
+
+@pytest.mark.parametrize("hops", [0, 1, 2, 3])
+def test_dds_propagate_by_cached_powers_matches_the_hop_chain(hops):
+    rng = np.random.default_rng(25)
+    n, d = 30, 6
+    x_data, g = rng.normal(size=(n, d)), rng.normal(size=(3, n, d))
+    routes = []
+    for propagate in (dds_propagate, hop_chain):
+        dds, x = random_dds(np.random.default_rng(26), n), nk.parameter(x_data)
+        with nk.Tape() as tape:
+            channels = propagate(dds, x, hops)
+            loss = functools.reduce(nk.add, (nk.sum_all(nk.mul(ch, nk.constant(gk)))
+                                             for ch, gk in zip(channels, g)))
+        tape.backward(loss)
+        routes.append([ch.data for ch in channels] + [x.grad])
+    for got, want in zip(*routes):
+        if hops <= 1:
+            assert got.tobytes() == want.tobytes()
+        else:
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_models_on_one_table_share_the_cached_power():
+    rng = np.random.default_rng(27)
+    n = 12
+    table = DrugTable([f"d{i}" for i in range(n)], ["CCO"] * n,
+                      *(rng.integers(0, 2, size=(n, 6)) for _ in DESCRIPTOR_KINDS))
+    graph = RelGraph.from_triples(n, 2, [(0, 1, 0), (2, 3, 1), (4, 5, 0)])
+    config = apply_preset("micro").replace(propagation_hops=3)
+    first = HmgrlModel(config, table, 2, seed=0)
+    assert table.similarity_graph.powers == {}     # none before the first forward
+    first.drug_embeddings(graph)
+    cached = dict(table.similarity_graph.powers)
+    assert sorted(cached) == [(kind, 3) for kind in sorted(DESCRIPTOR_KINDS)]
+    HmgrlModel(config, table, 2, seed=1).drug_embeddings(graph)
+    powers = table.similarity_graph.powers
+    assert powers.keys() == cached.keys()
+    assert all(powers[key] is cached[key] for key in cached)
 
 
 def test_fuse_ragse_zero_weights_and_passthrough():

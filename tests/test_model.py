@@ -258,6 +258,18 @@ def test_predict_rejects_pairs_not_k_by_2_naming_the_shape(pairs, shape):
         predict(model, graph, pairs)
 
 
+@pytest.mark.parametrize("pairs, problem", [
+    ([[1, 2], [3]], "ragged list"),
+    ([[1, 2], [3, "x"]], "not strings"),
+    ([[1.5, 2], [3, 4]], "not floats"),     # would score drug 1
+    ([[True, 2], [3, 4]], "not booleans"),  # numpy reads True as drug 1
+], ids=["ragged", "string", "float", "bool"])
+def test_predict_rejects_a_malformed_pair_list_naming_the_problem(pairs, problem):
+    _, model, graph = untrained_micro_model()
+    with pytest.raises(ValidationError, match=problem):
+        predict(model, graph, pairs)
+
+
 def test_unlabelled_predict_never_holds_a_k_by_k_matrix():
     data, model, graph = untrained_micro_model()
     k = 2000

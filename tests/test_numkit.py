@@ -619,6 +619,83 @@ def test_conv1d_onehot_gradients():
     fd_check(loss, [kernel, bias], rel_tol=1e-6)
 
 
+def untiled_conv_route(x_flat, index, kernel, bias, batch, length, g, n_classes=None):
+    """Oracle: the convolutions on whole rows, as before item tiles. Returns
+    (output, dk, bias grad, dx) of conv1d_bank over x_flat, or of
+    conv1d_onehot over `index` (dx None), for the output gradient g."""
+    c_out = bias.shape[1]
+    c_in = n_classes if index is not None else x_flat.shape[1]
+    width = kernel.shape[1] // c_in
+    n, l_out = batch * length, length - width + 1
+    if index is None:
+        taps = [np.ascontiguousarray(kernel[:, j::width]) for j in range(width)]
+
+        def term(j, buf):
+            return np.matmul(x_flat[j:], taps[j].T, out=buf)
+
+        def offset_grad(j, g_rows):
+            return g_rows.T @ x_flat[j:]
+    else:
+        flat = index.ravel().astype(np.intp)
+        table = np.zeros((width, n_classes + 1, c_out))
+        table[:, :n_classes] = kernel.reshape(c_out, n_classes, width).T
+
+        def term(j, buf):
+            return np.take(table[j], flat[j:], axis=0, out=buf, mode="clip")
+
+        def offset_grad(j, g_rows):
+            return nk.ops._scatter_rows(flat[j:], None, None, n_classes + 1,
+                                        g_rows)[:n_classes].T
+    y, buf = np.empty((n, c_out)), np.empty((n, c_out))
+    term(0, y)
+    for j in range(1, width):
+        y[:-j] += term(j, buf[:-j])
+    out = (y.reshape(batch, length, c_out)[:, :l_out] + bias).reshape(batch, -1)
+    g_flat = np.pad(g.reshape(batch, l_out, c_out),
+                    ((0, 0), (0, width - 1), (0, 0))).reshape(n, c_out)
+    dk = np.stack([offset_grad(j, g_flat[:n - j]) for j in range(width)], axis=2)
+    d_bias = g.reshape(-1, c_out).sum(axis=0, keepdims=True)
+    dx = None
+    if index is None:
+        dx = g_flat @ taps[0]
+        for j in range(1, width):
+            dx[j:] += g_flat[:-j] @ taps[j]
+    return out, dk.reshape(kernel.shape), d_bias, dx
+
+
+@pytest.mark.parametrize("batch, length, width", [
+    (37, 10, 3),     # seven tiles of 5 or 6 items
+    (5, 100, 7),     # items longer than a tile: tiles of 2 and 3 items
+    (9, 10, 10),     # width = length: one output position per item
+    (5, 100, 100),   # both: no offset term may be a one-row product
+], ids=["several-tiles", "long-item", "full-width", "long-full-width"])
+def test_conv_item_tiles_match_the_untiled_route_bit_for_bit(batch, length, width,
+                                                              monkeypatch):
+    monkeypatch.setattr(nk.ops, "CONV_TILE", 64)
+    rng = np.random.default_rng(31)
+    c_in, c_out, n_classes = 16, 4, 6
+    g = rng.normal(size=(batch, c_out * (length - width + 1)))
+    x_flat = rng.normal(size=(batch * length, c_in))
+    index = rng.integers(0, n_classes + 1, size=(batch, length)).astype(np.uint8)
+    for onehot in (False, True):
+        x = nk.parameter(x_flat.reshape(batch, -1).copy())
+        kernel = nk.parameter(rng.normal(size=(c_out, (n_classes if onehot else c_in)
+                                               * width)))
+        bias = nk.parameter(rng.normal(size=(1, c_out)))
+        with nk.Tape() as tape:
+            out = (nk.conv1d_onehot(index, kernel, bias, n_classes) if onehot
+                   else nk.conv1d_bank(x, kernel, bias, c_in, length))
+            loss = nk.sum_all(nk.mul(out, nk.constant(g)))
+        tape.backward(loss)
+        want = untiled_conv_route(None if onehot else x_flat, index if onehot else None,
+                                  kernel.data, bias.data, batch, length, g,
+                                  n_classes if onehot else None)
+        got = (out.data, kernel.grad, bias.grad,
+               None if onehot else x.grad.reshape(x_flat.shape))
+        for name, a, b in zip(("output", "dk", "bias grad", "dx"), got, want):
+            assert (a is None and b is None) or same_bits(a, b), (onehot, name)
+
+
 def test_backward_reverse_order_and_reuse():
     # a reused tensor receives contributions from both consumers
     x = nk.parameter([[2.0]])
@@ -789,6 +866,25 @@ def test_chunked_adam_matches_the_unfused_update(rectified):
         b2 = fused_state.beta2
         rho = [2 / (1 - b2) - 1 - 2 * t * b2 ** t / (1 - b2 ** t) for t in (1, 10)]
         assert rho[0] <= 4.0 < rho[1]
+
+
+def test_adam_accepts_a_finite_gradient_whose_squares_overflow():
+    # g . g of 1e200 entries is inf, so the check falls through to the exact
+    # scan, which finds every entry finite; the update itself is unchanged
+    def start():
+        p = nk.parameter(np.random.default_rng(3).normal(size=(4, 6)))
+        p.grad = np.full((4, 6), 1e200)
+        p.grad[0, 0] = -1e200
+        return {"p": p}, nk.OptimizerState(lr=0.01)
+
+    (fused, fused_state), (oracle, oracle_state) = start(), start()
+    with np.errstate(over="ignore"):      # g * g overflows in both updates
+        nk.adam_step(fused, fused_state)
+        unfused_adam_step(oracle, oracle_state)
+    assert fused_state.step == 1
+    assert same_bits(fused["p"].data, oracle["p"].data)
+    assert same_bits(fused_state.m["p"], oracle_state.m["p"])
+    assert same_bits(fused_state.v["p"], oracle_state.v["p"])
 
 
 def test_adam_updates_parameters_and_gradients_of_any_layout():
