@@ -53,7 +53,7 @@ class RunConfig:
     dsc_proj_dim: int = 0        # 0 = attention_dim
     decoder_hidden: int = 256
 
-    # optimizer (Adam's betas and eps are numkit's defaults)
+    # optimizer (Adam's betas and eps are numkit.optim constants)
     rectified: bool = False
 
     # augmentation / protocol

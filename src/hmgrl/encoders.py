@@ -45,9 +45,7 @@ class CnnBlock:
         for i, (c, w) in enumerate(zip(channels, kernel_widths)):
             if w > length:
                 raise ParameterError(f"conv stage {i}: kernel {w} wider than input {length}")
-            bound = np.sqrt(6.0 / (c_prev * w + c))
-            params[f"{prefix}.conv{i}.w"] = nk.parameter(
-                rng.uniform(-bound, bound, size=(c, c_prev * w)))
+            params[f"{prefix}.conv{i}.w"] = nk.xavier_uniform(rng, c, c_prev * w)
             params[f"{prefix}.conv{i}.b"] = nk.parameter(np.zeros((1, c)))
             c_prev, length = c, length - w + 1
         params[f"{prefix}.proj.w"] = nk.xavier_uniform(rng, channels[-1], out_dim)
@@ -112,8 +110,7 @@ class EncoderBlock:
 
     @classmethod
     def build(cls, rng, prefix: str, in_dim: int, out_dim: int,
-              token_count: int = 4, token_dim: int = 64,
-              n_heads: int = 4) -> "EncoderBlock":
+              token_count: int, token_dim: int, n_heads: int) -> "EncoderBlock":
         width = token_count * token_dim
         hidden = 2 * token_dim
         params = {

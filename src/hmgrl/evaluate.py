@@ -141,9 +141,11 @@ def compute_metrics(scores: np.ndarray, labels: np.ndarray,
     k, r = scores.shape
     true_class = labels.argmax(axis=1)
     pred_class = scores.argmax(axis=1)
-
-    present = sorted(set(true_class.tolist()))
-    skipped = tuple(c for c in range(r) if c not in present)
+    # confusion[t, p]: pairs of true class t predicted as p
+    confusion = np.bincount(true_class * r + pred_class, minlength=r * r).reshape(r, r)
+    actual = confusion.sum(axis=1)
+    present = np.flatnonzero(actual).tolist()
+    skipped = tuple(np.flatnonzero(actual == 0).tolist())
 
     if macro_curves:
         areas, curve_skipped = [], []
@@ -168,17 +170,12 @@ def compute_metrics(scores: np.ndarray, labels: np.ndarray,
 
     acc = float((pred_class == true_class).mean())
 
-    precisions, recalls, f1s = [], [], []
-    for c in present:
-        tp = int(((pred_class == c) & (true_class == c)).sum())
-        fp = int(((pred_class == c) & (true_class != c)).sum())
-        fn = int(((pred_class != c) & (true_class == c)).sum())
-        prec = tp / (tp + fp) if tp + fp else 0.0
-        rec = tp / (tp + fn) if tp + fn else 0.0
-        f1 = 2 * prec * rec / (prec + rec) if prec + rec else 0.0
-        precisions.append(prec)
-        recalls.append(rec)
-        f1s.append(f1)
+    # macro precision, recall and F1 over the present classes, 0 at a 0 denominator
+    tp, predicted = np.diag(confusion)[present], confusion.sum(axis=0)[present]
+    recalls = tp / actual[present]
+    precisions = np.divide(tp, predicted, out=np.zeros(len(tp)), where=predicted > 0)
+    both = precisions + recalls
+    f1s = np.divide(2 * precisions * recalls, both, out=np.zeros(len(tp)), where=both > 0)
 
     return MetricReport(
         aupr=float(aupr), auc=float(auc), acc=acc,

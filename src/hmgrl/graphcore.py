@@ -230,8 +230,9 @@ EVENT_TYPES = 1000
 
 def read_ddi_file(path, table: DrugTable) -> list[tuple[int, int, int]]:
     """Index triples (u, v, event) of a drug_a<TAB>drug_b<TAB>event file, its
-    drug ids resolved against the table; each defect names its line."""
-    triples = []
+    drug ids resolved against the table; each defect names its line, and a
+    pair listed twice (in either order, of any type) names both lines."""
+    triples, first_line = [], {}
     for line_no, line in read_text_lines(path):
         fields = line.split("\t")
         if len(fields) != 3:
@@ -248,6 +249,11 @@ def read_ddi_file(path, table: DrugTable) -> list[tuple[int, int, int]]:
                             path, line_no)
         if fields[0] == fields[1]:
             raise DataError("self-interaction not allowed", path, line_no)
-        triples.append((table.lookup(fields[0], path, line_no),
-                        table.lookup(fields[1], path, line_no), event))
+        u = table.lookup(fields[0], path, line_no)
+        v = table.lookup(fields[1], path, line_no)
+        seen = first_line.setdefault((u, v) if u < v else (v, u), line_no)
+        if seen != line_no:
+            raise DataError(f"pair {fields[0]}, {fields[1]} is already listed on "
+                            f"line {seen}", path, line_no)
+        triples.append((u, v, event))
     return triples

@@ -151,7 +151,7 @@ class HmgrlModel:
             src_dim = (self.feature_dim if kind == "comprehensive"
                        else getattr(table, kind).shape[1])
             self.views[kind] = DscView.build(
-                init_rng, f"dsc_{kind[:4]}", kind, src_dim, self.feature_dim,
+                init_rng, f"dsc_{kind[:4]}", src_dim, self.feature_dim,
                 n_clusters=config.dsc_clusters, n_heads=config.dsc_heads,
                 proj_dim=config.effective_dsc_proj_dim)
             self.params.update(self.views[kind].params)
@@ -208,26 +208,24 @@ class HmgrlModel:
             parts.append(self.encoders[kind].forward(sims, us, vs))
         return nk.concat_cols(parts)
 
-    def decode(self, representation: nk.Tensor, training: bool,
+    def decode(self, representation: nk.Tensor,
                dropout_rng: np.random.Generator | None) -> nk.Tensor:
         hidden = nk.relu(nk.add_rowvec(
             nk.matmul(representation, self.params["decoder.fc1.w"]),
             self.params["decoder.fc1.b"]))
-        if training and self.config.dropout_rate > 0:
-            if dropout_rng is None:
-                raise ParameterError("training decode needs a dropout RNG")
-            hidden = nk.dropout(hidden, self.config.dropout_rate, dropout_rng,
-                                training=True)
+        if dropout_rng is not None:
+            hidden = nk.dropout(hidden, self.config.dropout_rate, dropout_rng)
         logits = nk.add_rowvec(nk.matmul(hidden, self.params["decoder.fc2.w"]),
                                self.params["decoder.fc2.b"])
         return nk.softmax_rows(logits)
 
     def forward(self, graph: RelGraph, pairs, labels: np.ndarray | None = None,
-                training: bool = False,
                 dropout_rng: np.random.Generator | None = None,
                 mixup_rng: np.random.Generator | None = None) -> ForwardResult:
         """Score a batch of drug pairs. Each layer that reads a pair's two
-        drugs runs on per-drug rows, gathered by the pairs' two index vectors."""
+        drugs runs on per-drug rows, gathered by the pairs' two index vectors.
+        Training is passing the RNGs: dropout runs given `dropout_rng`, and
+        mixup given config.mixup, `labels` and `mixup_rng`."""
         pairs = _pair_array(pairs)
         in_range = ((pairs >= 0) & (pairs < self.n_drugs)).all(axis=1)
         bad = ~in_range | (pairs[:, 0] == pairs[:, 1])
@@ -243,9 +241,7 @@ class HmgrlModel:
         features = self.comprehensive_features(embeddings, us, vs)
 
         labels_used = labels
-        if training and self.config.mixup and labels is not None:
-            if mixup_rng is None:
-                raise ParameterError("mixup needs an RNG")
+        if self.config.mixup and labels is not None and mixup_rng is not None:
             features, labels_used, dominant = mixup_batch(features, labels, mixup_rng)
             us, vs = us[dominant], vs[dominant]  # only the views read them on
 
@@ -253,7 +249,7 @@ class HmgrlModel:
         descriptors = {kind: getattr(self.table, kind) for kind in DESCRIPTOR_KINDS}
         clustered = mvdsc_forward(features, descriptors, us, vs, self.views,
                                   regularize=labels_used is not None)
-        probs = self.decode(clustered.representation, training, dropout_rng)
+        probs = self.decode(clustered.representation, dropout_rng)
 
         result = ForwardResult(probabilities=probs,
                                regularizer=clustered.regularizer,
@@ -379,8 +375,7 @@ def train_fold(config: RunConfig, dataset: DdiDataset, fold: Fold,
             with nk.Tape() as tape:
                 result = model.forward(graph, pair_array[batch_idx],
                                        labels=label_array[batch_idx],
-                                       training=True, dropout_rng=dropout_rng,
-                                       mixup_rng=mixup_rng)
+                                       dropout_rng=dropout_rng, mixup_rng=mixup_rng)
             total = result.loss_total
             if not np.isfinite(total.item()):
                 raise NumericError(
@@ -409,7 +404,7 @@ def train_fold(config: RunConfig, dataset: DdiDataset, fold: Fold,
 def predict(model: HmgrlModel, graph: RelGraph, pairs) -> tuple[np.ndarray, np.ndarray]:
     """Deterministic inference: (argmax event types, probability rows)."""
     with nk.no_grad():
-        result = model.forward(graph, pairs, training=False)
+        result = model.forward(graph, pairs)
     probs = result.probabilities.data
     return probs.argmax(axis=1), probs
 

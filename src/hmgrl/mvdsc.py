@@ -27,22 +27,18 @@ class DscView:
     """Weights for one clustering view."""
 
     prefix: str
-    kind: str            # one of VIEW_ORDER
     n_heads: int
-    n_clusters: int
     params: dict
 
     @classmethod
-    def build(cls, rng, prefix: str, kind: str, source_dim: int, feature_dim: int,
+    def build(cls, rng, prefix: str, source_dim: int, feature_dim: int,
               n_clusters: int, n_heads: int, proj_dim: int) -> "DscView":
-        if kind not in VIEW_ORDER:
-            raise ShapeError(f"unknown view kind {kind!r}")
         params = {}
         for m in range(n_heads):
             params[f"{prefix}.adj{m}"] = nk.xavier_uniform(rng, source_dim, proj_dim)
             params[f"{prefix}.assign{m}"] = nk.xavier_uniform(rng, feature_dim, n_clusters)
         params[f"{prefix}.mix"] = nk.xavier_uniform(rng, n_heads * n_clusters, feature_dim)
-        return cls(prefix, kind, n_heads, n_clusters, params)
+        return cls(prefix, n_heads, params)
 
 
 def _check_pairs(k: int) -> None:
@@ -179,14 +175,15 @@ def mvdsc_forward(features, descriptors: dict, us, vs, views: dict,
         outputs.append(output)
         if not regularize:
             continue
-        l_gc, gc_skipped = loss_graph_cut(assignments, adjacencies)
-        l_or, or_skipped = loss_orthogonality(assignments)
+        # both losses skip the same all-zero heads
+        l_gc, skipped = loss_graph_cut(assignments, adjacencies)
+        l_or, _ = loss_orthogonality(assignments)
         reg_view = nk.add(l_gc, l_or)
         reg_total = reg_view if reg_total is None else nk.add(reg_total, reg_view)
         diagnostics[kind] = {
             "graph_cut": l_gc.item(),
             "orthogonality": l_or.item(),
-            "degenerate_heads": max(gc_skipped, or_skipped),
+            "degenerate_heads": skipped,
         }
     return MvdscResult(
         representation=nk.concat_cols(outputs),

@@ -12,6 +12,10 @@ import numpy as np
 from ..errors import ParameterError, ShapeError
 from .tensor import Tensor, as_tensor, make_output, recording
 
+# log_clamped's floor, which keeps a zero probability's loss finite, and the
+# term layer_norm_rows adds to each row's variance
+LOG_FLOOR, LAYER_NORM_EPS = 1e-12, 1e-6
+
 
 def _check_same_shape(a: Tensor, b: Tensor, op: str) -> None:
     if a.shape != b.shape:
@@ -237,27 +241,25 @@ def softmax_gram_matmul(p, b) -> Tensor:
     return Tensor(acc[:, :-1] / acc[:, -1:])
 
 
-def log_clamped(a, floor: float = 1e-12) -> Tensor:
-    """log(max(a, floor)); gradient is 1/a above the floor, 0 below it."""
+def log_clamped(a) -> Tensor:
+    """log(max(a, LOG_FLOOR)); gradient is 1/a above the floor, 0 below it."""
     a = as_tensor(a)
-    above = a.data > floor
+    above = a.data > LOG_FLOOR
 
     def backward(g):
         a.accumulate(np.where(above, g / a.data, 0.0), fresh=True)
 
-    return make_output(np.log(np.maximum(a.data, floor)), (a,), backward)
+    return make_output(np.log(np.maximum(a.data, LOG_FLOOR)), (a,), backward)
 
 
-def dropout(a, rate: float, rng: np.random.Generator, training: bool) -> Tensor:
-    """Inverted dropout: zero with prob `rate`, scale survivors by 1/(1-rate).
-
-    Identity (and no RNG draw) when not training or rate == 0, so inference
-    needs no correction.
-    """
+def dropout(a, rate: float, rng: np.random.Generator) -> Tensor:
+    """Inverted dropout: zero with prob `rate`, scale survivors by 1/(1-rate),
+    so inference, which skips it, needs no correction. At rate 0 it is the
+    identity and draws nothing."""
     a = as_tensor(a)
     if not 0.0 <= rate < 1.0:
         raise ParameterError(f"dropout rate must be in [0, 1), got {rate}")
-    if not training or rate == 0.0:
+    if rate == 0.0:
         return a
     mask = (rng.random(a.shape) >= rate) / (1.0 - rate)
 
@@ -521,12 +523,12 @@ def token_attention(q, k, v, token_count: int, n_heads: int) -> Tensor:
 
 # ------------------------------------------------------------- normalization
 
-def layer_norm_rows(a, eps: float = 1e-6) -> Tensor:
+def layer_norm_rows(a) -> Tensor:
     """Normalize each row to zero mean / unit variance (no affine part)."""
     a = as_tensor(a)
     mu = a.data.mean(axis=1, keepdims=True)
     var = a.data.var(axis=1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     y = (a.data - mu) * inv
 
     def backward(g):

@@ -14,6 +14,8 @@ from .tensor import Tensor
 # each parameter streams through memory once instead of once per full-size
 # temporary.
 ADAM_CHUNK = 32_768
+# Adam's moment decay rates and the guard added to its denominator
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 _ZERO_CHUNK = np.zeros(ADAM_CHUNK)  # read in place of a missing gradient
 _ZERO_CHUNK.flags.writeable = False
 
@@ -23,9 +25,6 @@ class OptimizerState:
     """Per-parameter moment accumulators plus the shared step counter."""
 
     lr: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     rectified: bool = False  # variance-rectified update instead of plain Adam
     step: int = 0
     m: dict = field(default_factory=dict)
@@ -34,8 +33,6 @@ class OptimizerState:
     def __post_init__(self):
         if self.lr <= 0:
             raise ParameterError(f"learning rate must be > 0, got {self.lr}")
-        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
-            raise ParameterError("betas must lie in [0, 1)")
 
 
 def adam_step(params: dict[str, Tensor], state: OptimizerState) -> None:
@@ -70,7 +67,7 @@ def adam_step(params: dict[str, Tensor], state: OptimizerState) -> None:
                 raise NumericError(f"non-finite gradient in parameter {name!r}")
     state.step += 1
     t = state.step
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = BETA1, BETA2
     bc1 = 1.0 - b1 ** t
     bc2 = 1.0 - b2 ** t
 
@@ -109,6 +106,6 @@ def adam_step(params: dict[str, Tensor], state: OptimizerState) -> None:
             if use_v:
                 np.divide(v, bc2, out=b)
                 np.sqrt(b, out=b)
-                b += state.eps
+                b += EPS
                 a /= b
             p_flat[lo:hi] -= a

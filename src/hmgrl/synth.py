@@ -18,6 +18,7 @@ from .featurize import DESCRIPTOR_KINDS, SMILES_POSITIONS, DrugTable
 from .graphcore import EVENT_TYPES
 
 _SMILES_BASE = "CNOPSFcno123()=#-"
+FLIP_PROB = 0.06  # chance that a descriptor bit differs from its class prototype's
 
 
 @dataclass
@@ -30,7 +31,6 @@ class SynthSpec:
     targets_size: int = 24
     enzymes_size: int = 16
     substructures_size: int = 32
-    flip_prob: float = 0.06
     smiles_length: tuple = (18, 40)
 
     def __post_init__(self):
@@ -69,7 +69,7 @@ def generate(spec: SynthSpec) -> tuple[DrugTable, list]:
     def class_attribute(size):
         protos = rng.integers(0, 2, size=(spec.n_classes, size))
         rows = protos[classes]
-        flips = rng.random(rows.shape) < spec.flip_prob
+        flips = rng.random(rows.shape) < FLIP_PROB
         rows = np.where(flips, 1 - rows, rows)
         for i in range(spec.n_drugs):  # all-zero descriptor rows carry no signal
             if not rows[i].any():

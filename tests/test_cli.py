@@ -684,6 +684,35 @@ def test_predict_self_pair_names_file_and_line(synth_dir, tmp_path, capsys):
     assert f"{pairs}:2: a pair must join two distinct drugs" in err
 
 
+@pytest.mark.parametrize("command", ["train", "predict"])
+@pytest.mark.parametrize("second", ["repeat", "reverse", "relabel"])
+def test_pair_listed_twice_names_both_lines(synth_dir, tmp_path, capsys, command,
+                                            second):
+    # a second copy of a pair could land in a test fold while the first
+    # trains, and two event types would train toward two labels
+    lines = (synth_dir / "ddis.tsv").read_text().splitlines()
+    a, b, event = lines[0].split("\t")
+    extra = {"repeat": (a, b, event), "reverse": (b, a, event),
+             "relabel": (a, b, str((int(event) + 1) % 3))}[second]
+    ddis = tmp_path / "ddis.tsv"
+    ddis.write_text("".join(f"{x}\n" for x in [*lines, "\t".join(extra)]))
+    run_dir = tmp_path / "run"
+    if command == "train":
+        code = run_cli("train", "--drugs", synth_dir / "drugs.tsv", "--ddis", ddis,
+                       "--preset", "micro", "--epochs", 1, "--out", run_dir)
+    else:  # the interactions are read before the checkpoint loads
+        pairs = tmp_path / "pairs.tsv"
+        pairs.write_text("SYN0000\tSYN0001\nSYN0002\tSYN0003\n")
+        code = run_cli("predict", "--drugs", synth_dir / "drugs.tsv",
+                       "--train-ddis", ddis, "--checkpoint", tmp_path / "absent.ckpt",
+                       "--pairs", pairs)
+    err = capsys.readouterr().err
+    assert code == EXIT_DATA
+    assert (f"{ddis}:{len(lines) + 1}: pair {extra[0]}, {extra[1]} is already "
+            f"listed on line 1") in err
+    assert not (run_dir / "checkpoint").exists()
+
+
 def test_gradcheck_rejects_a_sample_count_below_one(capsys):
     assert run_cli("gradcheck", "--samples", -1) == EXIT_USAGE
     err = capsys.readouterr().err

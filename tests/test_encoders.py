@@ -219,8 +219,9 @@ def test_published_dims_line_up():
     # full-scale layer widths: encoder 1 -> 1500, encoders 2-4 -> 200,
     # comprehensive width 4*200 + 1500 = 2300
     rng = np.random.default_rng(10)
-    enc1 = EncoderBlock.build(rng, "e1", in_dim=2 * 500, out_dim=1500)
-    enc2 = EncoderBlock.build(rng, "e2", in_dim=2 * 572, out_dim=200)
+    dims = dict(token_count=4, token_dim=64, n_heads=4)
+    enc1 = EncoderBlock.build(rng, "e1", in_dim=2 * 500, out_dim=1500, **dims)
+    enc2 = EncoderBlock.build(rng, "e2", in_dim=2 * 572, out_dim=200, **dims)
     k = 2
     pairs = ([0, 1], [1, 0])
     h_emb = enc1.forward(rng.normal(size=(572, 500)), *pairs)

@@ -175,6 +175,38 @@ def test_absent_classes_skipped_in_macro():
     assert report.recall == pytest.approx(0.75)
 
 
+def loop_macro_prf(true_class, pred_class):
+    """Reference: (F1, precision, recall) macro-averaged over the present
+    classes, each class counted by three boolean passes."""
+    precisions, recalls, f1s = [], [], []
+    for c in sorted(set(true_class.tolist())):
+        tp = int(((pred_class == c) & (true_class == c)).sum())
+        fp = int(((pred_class == c) & (true_class != c)).sum())
+        fn = int(((pred_class != c) & (true_class == c)).sum())
+        prec = tp / (tp + fp) if tp + fp else 0.0
+        rec = tp / (tp + fn) if tp + fn else 0.0
+        f1 = 2 * prec * rec / (prec + rec) if prec + rec else 0.0
+        precisions.append(prec)
+        recalls.append(rec)
+        f1s.append(f1)
+    return float(np.mean(f1s)), float(np.mean(precisions)), float(np.mean(recalls))
+
+
+def test_macro_prf_from_the_confusion_matrix_matches_the_loop_to_the_bit():
+    rng = np.random.default_rng(43)
+    for _ in range(200):
+        r = int(rng.integers(2, 70))
+        k = int(rng.integers(2, 3001))
+        present = rng.choice(r, size=int(rng.integers(1, r + 1)), replace=False)
+        true_class = rng.choice(present, size=k)
+        # few score levels make argmax ties; the boost makes true positives
+        scores = rng.integers(0, 4, size=(k, r)).astype(float)
+        scores[np.arange(k), true_class] += rng.integers(0, 3, size=k)
+        report = compute_metrics(scores, np.eye(r)[true_class])
+        assert (report.f1, report.precision, report.recall) == loop_macro_prf(
+            true_class, scores.argmax(axis=1)), (r, k)
+
+
 def test_single_class_labels_reject_curves():
     labels = np.tile([1.0, 0.0], (4, 1))
     scores = np.tile([0.6, 0.4], (4, 1))

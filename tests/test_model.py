@@ -167,6 +167,35 @@ def test_inference_deterministic_under_dropout_config():
     assert np.array_equal(p1, p2)
 
 
+def test_forward_trains_only_with_its_rngs():
+    # training mode is passing the RNGs: dropout needs a dropout RNG, and
+    # mixup needs config.mixup, labels and a mixup RNG
+    data = micro_dataset()
+    model = HmgrlModel(micro_config(), data.table, data.n_relations, seed=4)
+    graph = RelGraph.from_triples(data.n_drugs, data.n_relations, data.triples)
+    pairs = [(u, v) for u, v, _ in data.triples[:8]]
+    labels = one_hot([r for _, _, r in data.triples[:8]], data.n_relations)
+
+    def score(dropout_rate, mixup, **rngs):
+        model.config = model.config.replace(dropout_rate=dropout_rate, mixup=mixup)
+        with nk.no_grad():
+            result = model.forward(graph, pairs, labels=labels, **rngs)
+        return result.probabilities.data, result.loss_total.item()
+
+    def same(a, b):
+        return np.array_equal(a[0], b[0]) and a[1] == b[1]
+
+    plain = score(0.0, False)
+    assert same(score(0.5, True), plain)
+    rng = np.random.default_rng(1)
+    untouched = rng.bit_generator.state
+    assert same(score(0.0, False, dropout_rng=rng), plain)
+    assert same(score(0.0, False, mixup_rng=rng), plain)
+    assert rng.bit_generator.state == untouched
+    assert not np.array_equal(score(0.5, False, dropout_rng=rng)[0], plain[0])
+    assert not same(score(0.0, True, mixup_rng=np.random.default_rng(2)), plain)
+
+
 def test_unlabelled_forward_skips_regularizers(monkeypatch):
     import hmgrl.mvdsc as mvdsc
 
@@ -189,7 +218,7 @@ def test_unlabelled_forward_skips_regularizers(monkeypatch):
     assert bare.regularizer is None and bare.view_diagnostics == {}
     labels = one_hot([r for _, _, r in data.triples[:6]], data.n_relations)
     with nk.no_grad():
-        scored = model.forward(graph, pairs, labels=labels, training=False)
+        scored = model.forward(graph, pairs, labels=labels)
     assert len(calls) == 8   # each loss once per view
     assert np.isfinite(scored.loss_total.item())
     assert np.array_equal(bare.probabilities.data, scored.probabilities.data)
@@ -558,7 +587,7 @@ def test_end_to_end_gradients_every_named_parameter():
     labels = one_hot([r for _, _, r in batch], data.n_relations)
 
     def loss():
-        result = model.forward(graph, pairs, labels=labels, training=True)
+        result = model.forward(graph, pairs, labels=labels)
         return result.loss_total
 
     report = gradcheck(loss, model.params,
@@ -594,7 +623,7 @@ def desk_batch(size=128):
 def labelled_training_forward(model, graph, pairs, labels):
     """One seeded training forward (dropout and mixup on) under a new tape."""
     with nk.Tape() as tape:
-        result = model.forward(graph, pairs, labels=labels, training=True,
+        result = model.forward(graph, pairs, labels=labels,
                                dropout_rng=np.random.default_rng(1),
                                mixup_rng=np.random.default_rng(2))
     return tape, result
@@ -707,7 +736,7 @@ def test_per_drug_route_matches_the_pair_route(monkeypatch, lam):
         model.zero_grad()
         embeddings.zero_grad()
         with nk.Tape() as tape:
-            result = model.forward(graph, pairs, labels=labels, training=True,
+            result = model.forward(graph, pairs, labels=labels,
                                    dropout_rng=np.random.default_rng(1),
                                    mixup_rng=FixedBeta(lam, seed=2))
         tape.backward(result.loss_total)

@@ -244,7 +244,7 @@ def make_views(rng, feat_dim, seq_dims, c=2, m=2, proj=3):
     views = {}
     for kind in VIEW_ORDER:
         src_dim = feat_dim if kind == "comprehensive" else seq_dims[kind]
-        views[kind] = DscView.build(rng, f"dsc.{kind}", kind, src_dim, feat_dim,
+        views[kind] = DscView.build(rng, f"dsc.{kind}", src_dim, feat_dim,
                                     n_clusters=c, n_heads=m, proj_dim=proj)
     return views
 

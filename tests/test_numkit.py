@@ -9,7 +9,7 @@ import pytest
 from hmgrl import numkit as nk
 from hmgrl.errors import NumericError, ParameterError, ShapeError
 from hmgrl.numkit.ops import GRAM_SUM_FLOOR
-from hmgrl.numkit.optim import ADAM_CHUNK
+from hmgrl.numkit.optim import ADAM_CHUNK, BETA1, BETA2, EPS
 from hmgrl.oracle import FdConfig, gradcheck
 
 
@@ -220,21 +220,20 @@ def test_relu():
 def test_dropout_rate_zero_is_identity():
     x = nk.constant([[1.0, -2.0, 3.0]])
     rng = np.random.default_rng(0)
-    assert nk.dropout(x, 0.0, rng, training=True) is x
-    assert nk.dropout(x, 0.5, rng, training=False) is x
+    assert nk.dropout(x, 0.0, rng) is x
 
 
 def test_dropout_rescales_survivors():
     rng = np.random.default_rng(3)
     x = nk.constant(np.ones((200, 50)))
-    out = nk.dropout(x, 0.25, rng, training=True)
+    out = nk.dropout(x, 0.25, rng)
     vals = np.unique(out.data)
     assert set(np.round(vals, 12)) <= {0.0, np.round(1 / 0.75, 12)}
 
 
 def test_dropout_rate_validation():
     with pytest.raises(ParameterError):
-        nk.dropout(nk.constant([[1.0]]), 1.0, np.random.default_rng(0), True)
+        nk.dropout(nk.constant([[1.0]]), 1.0, np.random.default_rng(0))
 
 
 def test_two_op_chain_matches_manual_rule():
@@ -799,7 +798,7 @@ def unfused_adam_step(params, state):
     """Oracle: the whole-array update, one full-size temporary per term."""
     state.step += 1
     t = state.step
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = BETA1, BETA2
     bc1 = 1.0 - b1 ** t
     bc2 = 1.0 - b2 ** t
     if state.rectified:
@@ -819,11 +818,11 @@ def unfused_adam_step(params, state):
             if rho_t > 4.0:
                 r = np.sqrt(((rho_t - 4.0) * (rho_t - 2.0) * rho_inf)
                             / ((rho_inf - 4.0) * (rho_inf - 2.0) * rho_t))
-                p.data -= state.lr * r * m_hat / (np.sqrt(v / bc2) + state.eps)
+                p.data -= state.lr * r * m_hat / (np.sqrt(v / bc2) + EPS)
             else:
                 p.data -= state.lr * m_hat
         else:
-            p.data -= state.lr * m_hat / (np.sqrt(v / bc2) + state.eps)
+            p.data -= state.lr * m_hat / (np.sqrt(v / bc2) + EPS)
 
 
 def same_bits(a, b):
@@ -863,7 +862,7 @@ def test_chunked_adam_matches_the_unfused_update(rectified):
         if step == 1:   # adding the zero chunk turned -0.0 into +0.0
             assert not np.signbit(fused_state.m["idle"]).any()
     if rectified:   # the run takes both branches: rho_t passes 4 within it
-        b2 = fused_state.beta2
+        b2 = BETA2
         rho = [2 / (1 - b2) - 1 - 2 * t * b2 ** t / (1 - b2 ** t) for t in (1, 10)]
         assert rho[0] <= 4.0 < rho[1]
 

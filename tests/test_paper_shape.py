@@ -44,7 +44,7 @@ for step in range(2):   # train_fold's step, on a seeded batch
     model.zero_grad()
     with nk.Tape() as tape:
         result = model.forward(graph, pairs[batch], labels=labels[batch],
-                               training=True, dropout_rng=rng, mixup_rng=rng)
+                               dropout_rng=rng, mixup_rng=rng)
     tape.backward(result.loss_total)
     nk.adam_step(model.params, state)
     losses.append(result.loss_total.item())
