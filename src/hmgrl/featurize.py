@@ -226,14 +226,19 @@ def read_drug_table(path) -> DrugTable:
     if len(lines) < 2:
         raise DataError("drug table has no drugs", path)
     mats = [np.zeros((len(lines) - 1, sizes[kind])) for kind in DESCRIPTOR_KINDS]
-    ids, smiles = [], []
+    first_line, smiles = {}, []   # each drug id's line, in file order
     for i, (line_no, line) in enumerate(lines[1:]):
         fields = line.split("\t")
         if len(fields) != 2 + len(mats):
             raise DataError(f"expected {2 + len(mats)} tab-separated fields, "
                             f"got {len(fields)}", path, line_no)
-        ids.append(fields[0])
+        if not fields[0]:
+            raise DataError("empty drug id", path, line_no)
+        seen = first_line.setdefault(fields[0], line_no)
+        if seen != line_no:
+            raise DataError(f"drug id {fields[0]!r} is already listed on line {seen}",
+                            path, line_no)
         smiles.append(fields[1])
         for mat, text in zip(mats, fields[2:]):
             _parse_indices(text, mat[i], path, line_no)
-    return DrugTable(ids, smiles, *mats)
+    return DrugTable(list(first_line), smiles, *mats)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import numkit as nk
-from .errors import DataError, ShapeError, ValidationError
+from .errors import DataError, ValidationError
 from .featurize import (DESCRIPTOR_KINDS, DrugTable, cosine_similarity_matrix,
                         read_text_lines)
 
@@ -103,12 +103,6 @@ class RelGraph:
         t = np.array(list(triples), dtype=np.int64).reshape(-1, 3)
         return cls(n_drugs, n_relations, t[:, 0], t[:, 1], t[:, 2])
 
-    def relation_edges(self, r: int):
-        """(active sources, dst, local, weights) of relation r's edges."""
-        lo, hi = self.edge_offsets[r], self.edge_offsets[r + 1]
-        sources = self.sources[self.source_offsets[r]:self.source_offsets[r + 1]]
-        return sources, self.dst[lo:hi], self.local[lo:hi], self.weights[lo:hi]
-
     def new_drug_mask(self) -> np.ndarray:
         """Drugs with no edge in any relation (cold-start nodes)."""
         return self.relation_counts == 0
@@ -175,17 +169,10 @@ def rgcn_forward(graph: RelGraph, x, rel_weights, self_weight) -> nk.Tensor:
     scatters the messages along its edges, so the work scales with the
     (drug, relation) pairs that have an edge, not with R * N^2. Nodes in
     no relation (R_v = 0) keep only the self term. The relation sum is one
-    tape record (nk.relation_sum), which keeps indices and edge weights
-    and gathers the rows again in backward.
+    tape record (nk.relation_sum), which reads the graph's edge arrays in
+    place; x is a constant input, so only the weights get gradients.
     """
-    x = nk.as_tensor(x)
-    if len(rel_weights) != graph.n_relations:
-        raise ShapeError(f"need {graph.n_relations} relation weights, got {len(rel_weights)}")
-    if x.shape[0] != graph.n_drugs:
-        raise ShapeError(f"features have {x.shape[0]} rows for {graph.n_drugs} drugs")
-
-    relations = [graph.relation_edges(r) for r in range(graph.n_relations)]
-    total = nk.relation_sum(x, rel_weights, relations, graph.n_drugs)
+    total = nk.relation_sum(x, rel_weights, graph)
     return nk.relu(nk.add(total, nk.matmul(x, self_weight)))
 
 

@@ -191,7 +191,7 @@ class HmgrlModel:
 
     def drug_embeddings(self, graph: RelGraph) -> nk.Tensor:
         """Graph pass: relational aggregation, similarity propagation, fusion."""
-        x = rgcn_forward(graph, nk.constant(self.dds.stacked),
+        x = rgcn_forward(graph, self.dds.stacked,
                          [self.params[f"rgcn0.rel{r}"] for r in range(self.n_relations)],
                          self.params["rgcn0.self"])
         channels = dds_propagate(self.dds, x, self.config.propagation_hops)

@@ -374,60 +374,48 @@ def pair_linear(x, w, us, vs) -> Tensor:
     return make_output(out, (x, w), backward)
 
 
-def _relation_entries(relation, n_rows: int, n_x: int):
-    """(sources, rows, cols, vals) of one relation as checked index and
-    weight vectors; see relation_sum."""
-    sources, rows, cols = (np.asarray(v, dtype=np.intp) for v in relation[:3])
-    vals = np.asarray(relation[3], dtype=np.float64)
-    if not (sources.ndim == rows.ndim == cols.ndim == vals.ndim == 1
-            and rows.size == cols.size == vals.size):
-        raise ShapeError("relation_sum: sources, rows, cols and vals must be "
-                         "vectors, the last three of one length")
-    if rows.size and (rows.min() < 0 or rows.max() >= n_rows or cols.min() < 0
-                      or cols.max() >= sources.size or sources.min() < 0
-                      or sources.max() >= n_x):
-        raise ShapeError(f"relation_sum: an entry lies outside {n_rows} x "
-                         f"{sources.size} sources of {n_x} rows")
-    return sources, rows, cols, vals
+def relation_sum(x, weights, graph) -> Tensor:
+    """sum_r S_r @ (x[sources_r] @ W_r) over graph's relations with an edge;
+    x is a constant, so only the weights get gradients.
 
-
-def relation_sum(x, weights, relations, n_rows: int) -> Tensor:
-    """sum_r S_r @ (x[sources_r] @ W_r), one term per relation with an edge.
-
-    Relation r is (sources_r, rows_r, cols_r, vals_r): S_r is the sparse
-    n_rows x |sources_r| matrix with S_r[rows[k], cols[k]] = vals[k],
-    duplicate entries adding up. The tape keeps only x, the weights and
-    these vectors: the backward walks the relations in reverse, gathers
-    x[sources_r] again for dW_r and scatters S_r^T g @ W_r^T into x, so no
-    gathered rows, messages or partial sums outlive the forward.
+    graph holds the relations concatenated, as RelGraph does: S_r is the
+    n_drugs x |sources_r| matrix, sources_r = sources[source_offsets[r]:
+    source_offsets[r + 1]], with S_r[dst[k], local[k]] += weights[k] for k in
+    edge_offsets[r]:edge_offsets[r + 1]. The tape keeps x, the weights and the
+    graph: the backward gathers x[sources_r] again for dW_r, so no gathered
+    rows or messages outlive the forward.
     """
     x = as_tensor(x)
+    if x.requires_grad:
+        raise ParameterError("relation_sum: x must be a constant, not differentiable")
     weights = [as_tensor(w) for w in weights]
-    if len(weights) != len(relations):
+    n = graph.n_drugs
+    if len(weights) != graph.n_relations:
         raise ShapeError(f"relation_sum: {len(weights)} weights for "
-                         f"{len(relations)} relations")
+                         f"{graph.n_relations} relations")
+    if x.shape[0] != n:
+        raise ShapeError(f"relation_sum: x has {x.shape[0]} rows for {n} drugs")
     width = weights[0].shape[1] if weights else 0
     for w in weights:
         if w.shape != (x.shape[1], width):
             raise ShapeError(f"relation_sum: weight {w.shape} against x {x.shape}")
-    terms = [(w, _relation_entries(rel, n_rows, x.shape[0]))
-             for w, rel in zip(weights, relations)]
-    terms = [(w, entries) for w, entries in terms if entries[1].size]
-    x_data = x.data
-    total = np.zeros((n_rows, width))   # a bincount sum is never -0.0: 0 + t is t
-    for w, (sources, rows, cols, vals) in terms:
-        total += _scatter_rows(rows, cols, vals, n_rows, x_data[sources] @ w.data)
+    s, e = graph.source_offsets, graph.edge_offsets
+    terms = [(w, graph.sources[s[r]:s[r + 1]], slice(e[r], e[r + 1]))
+             for r, w in enumerate(weights) if e[r] < e[r + 1]]
+    x_data, dst, local, vals = x.data, graph.dst, graph.local, graph.weights
+    total = np.zeros((n, width))   # a bincount sum is never -0.0: 0 + t is t
+    for w, sources, edges in terms:
+        total += _scatter_rows(dst[edges], local[edges], vals[edges], n,
+                               x_data[sources] @ w.data)
 
     def backward(g):
-        for w, (sources, rows, cols, vals) in reversed(terms):
-            d_messages = _scatter_rows(cols, rows, vals, sources.size, g)
-            if x.requires_grad:
-                x.accumulate(_scatter_rows(sources, None, None, x.shape[0],
-                                           d_messages @ w.data.T), fresh=True)
+        for w, sources, edges in reversed(terms):
             if w.requires_grad:
+                d_messages = _scatter_rows(local[edges], dst[edges], vals[edges],
+                                           sources.size, g)
                 w.accumulate(x_data[sources].T @ d_messages, fresh=True)
 
-    return make_output(total, (x, *weights), backward)
+    return make_output(total, weights, backward)
 
 
 def _scatter_rows(target, source, vals, n: int, m: np.ndarray) -> np.ndarray:

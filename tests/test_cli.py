@@ -263,6 +263,8 @@ OUT_OF_DOMAIN = [
     (["--regularizer-weight", "nan"], "regularizer_weight"),
     (["--regularizer-weight", -0.5], "regularizer_weight"),
     (["--batch-size", 1], "batch_size"),
+    (["--dropout-rate", 1.0], "dropout_rate"),
+    ({"dropout_rate": 1.0}, "dropout_rate"),
     ({"cnn_channels": [4, 0, 6]}, "cnn_channels"),
     ({"cnn_kernels": [3, 5, -7]}, "cnn_kernels"),
     ({"cnn_channels": [], "cnn_kernels": []}, "cnn_channels"),
@@ -551,6 +553,20 @@ def test_eval_missing_checkpoint_is_data_error_naming_it(event8_run, tmp_path, c
     assert f"{ckpt}: missing checkpoint for fold 0" in capsys.readouterr().err
 
 
+def test_eval_checkpoint_cut_inside_a_header_is_data_error_naming_it(
+        event8_run, tmp_path, capsys):
+    _, run_dir, _ = event8_run
+    run = tmp_path / "run"
+    shutil.copytree(run_dir, run)
+    ckpt = run / "checkpoint" / "fold0.ckpt"
+    blob = ckpt.read_bytes()
+    _, _, records = _checkpoint_records(blob)
+    start, header_end, _ = records[1]
+    ckpt.write_bytes(blob[:(start + header_end) // 2])   # no newline ends it
+    assert run_cli("eval", "--run", run) == EXIT_DATA
+    assert f"{ckpt}: truncated record header" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("given", [(), ("drugs",), ("ddis",)],
                          ids=["neither", "drugs-only", "ddis-only"])
 def test_train_without_its_data_files_is_usage_error(synth_dir, tmp_path, capsys,
@@ -710,6 +726,36 @@ def test_pair_listed_twice_names_both_lines(synth_dir, tmp_path, capsys, command
     assert code == EXIT_DATA
     assert (f"{ddis}:{len(lines) + 1}: pair {extra[0]}, {extra[1]} is already "
             f"listed on line 1") in err
+    assert not (run_dir / "checkpoint").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "predict"])
+@pytest.mark.parametrize("bad_id, message", [
+    ("repeated", "drug id 'SYN0001' is already listed on line 3"),
+    ("empty", "empty drug id"),
+], ids=["repeated", "empty"])
+def test_bad_drug_id_names_file_and_line(synth_dir, tmp_path, capsys, command,
+                                         bad_id, message):
+    # the second line of a repeated id, or an empty id, is named before any work
+    lines = (synth_dir / "drugs.tsv").read_text().splitlines()
+    fields = lines[5].split("\t")
+    fields[0] = "SYN0001" if bad_id == "repeated" else ""
+    lines[5] = "\t".join(fields)
+    drugs = tmp_path / "drugs.tsv"
+    drugs.write_text("".join(f"{x}\n" for x in lines))
+    run_dir = tmp_path / "run"
+    if command == "train":
+        code = run_cli("train", "--drugs", drugs, "--ddis", synth_dir / "ddis.tsv",
+                       "--preset", "micro", "--epochs", 1, "--out", run_dir)
+    else:  # the drug table is read before the checkpoint loads
+        pairs = tmp_path / "pairs.tsv"
+        pairs.write_text("SYN0000\tSYN0001\nSYN0002\tSYN0003\n")
+        code = run_cli("predict", "--drugs", drugs, "--train-ddis",
+                       synth_dir / "ddis.tsv", "--checkpoint", tmp_path / "absent.ckpt",
+                       "--pairs", pairs)
+    err = capsys.readouterr().err
+    assert code == EXIT_DATA
+    assert f"{drugs}:6: {message}" in err
     assert not (run_dir / "checkpoint").exists()
 
 

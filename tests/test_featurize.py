@@ -174,6 +174,22 @@ def test_drug_table_parse_errors_name_line(tmp_path):
     assert ":3:" in str(err.value)
 
 
+@pytest.mark.parametrize("second, message", [
+    ("d1", "drug id 'd1' is already listed on line 2"),
+    ("", "empty drug id"),
+], ids=["repeated", "empty"])
+def test_drug_table_bad_id_names_its_line(tmp_path, second, message):
+    # DrugTable rejects a repeat too, but it knows no file or line to name
+    path = tmp_path / "bad.tsv"
+    path.write_text("#universe\ttargets=2\tenzymes=2\tsubstructures=2\n"
+                    "d1\tCC\t0\t1\t0\n"
+                    "d2\tCC\t1\t1\t0\n"
+                    f"{second}\tCO\t1\t0\t1\n")
+    with pytest.raises(DataError) as err:
+        read_drug_table(path)
+    assert str(err.value) == f"{path}:4: {message}"
+
+
 def test_encode_smiles_table_matches_encode_smiles_row_by_row():
     strings = ["CCO", "", "C?C", "[Na+].[Cl-]", "éΔ\u00a0C", "\x7f\x80N", "😀" * 3,
                "\ud800C", "C" * 100, "c1ccccc1" * 20, "N" * 99 + "é" * 5]

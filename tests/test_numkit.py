@@ -2,6 +2,7 @@ import ast
 import tracemalloc
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -275,40 +276,61 @@ def test_gather_rows_gradient_accumulates_duplicates():
     assert np.array_equal(x.grad, [[2.0, 2.0], [1.0, 1.0]])
 
 
+def concatenated_relations(n_drugs, relations):
+    """The arrays nk.relation_sum reads, RelGraph's layout, from per-relation
+    (sources, dst, local, weights) tuples."""
+    def joined(i, dtype):
+        return np.concatenate([np.asarray(rel[i], dtype) for rel in relations])
+
+    def offsets(i):
+        return np.cumsum([0] + [len(rel[i]) for rel in relations])
+
+    return SimpleNamespace(n_drugs=n_drugs, n_relations=len(relations),
+                           sources=joined(0, int), source_offsets=offsets(0),
+                           dst=joined(1, int), local=joined(2, int),
+                           weights=joined(3, float), edge_offsets=offsets(1))
+
+
 def test_relation_sum_matches_dense_product_and_finite_differences():
     rng = np.random.default_rng(12)
-    x = nk.parameter(rng.normal(size=(4, 3)))
+    x = rng.normal(size=(5, 3))
     weights = [nk.parameter(rng.normal(size=(3, 2))) for _ in range(3)]
     relations = [
-        # rows 1 and 3 stay empty; (0, 1) appears twice and adds up
+        # drug 4 is no source; rows 1 and 3 stay empty; (0, 1) appears twice and adds up
         (np.array([0, 2, 3]), np.array([0, 4, 4, 2, 0, 4]),
          np.array([1, 0, 2, 2, 1, 1]), rng.normal(size=6)),
         (np.array([], int), np.array([], int), np.array([], int), np.array([])),
         (np.array([1]), np.array([3, 0]), np.array([0, 0]), rng.normal(size=2)),
     ]
+    graph = concatenated_relations(5, relations)
     dense = np.zeros((5, 2))
     for w, (sources, rows, cols, vals) in zip(weights, relations):
-        s = np.zeros((5, 4))
+        s = np.zeros((5, 5))
         np.add.at(s, (rows, sources[cols]), vals)
-        dense += s @ x.data @ w.data
-    out = nk.relation_sum(x, weights, relations, 5)
-    assert np.allclose(out.data, dense, atol=1e-15)
+        dense += s @ x @ w.data
+    for x_in in (x, nk.constant(x)):   # an array or a constant Tensor
+        out = nk.relation_sum(x_in, weights, graph)
+        assert np.allclose(out.data, dense, atol=1e-15)
     target = nk.constant(rng.normal(size=(5, 2)))
-    fd_check(lambda: nk.sum_all(nk.mul(nk.relation_sum(x, weights, relations, 5),
-                                       target)), [x] + weights, rel_tol=1e-6)
-    empty = nk.relation_sum(x, weights[1:2], relations[1:2], 5)
+    fd_check(lambda: nk.sum_all(nk.mul(nk.relation_sum(x, weights, graph), target)),
+             weights, rel_tol=1e-6)
+    empty = nk.relation_sum(x, weights[1:2], concatenated_relations(5, relations[1:2]))
     assert np.array_equal(empty.data, np.zeros((5, 2)))
-    sources, rows, cols, vals = relations[0]
-    bad = [(sources, rows, cols, vals), (sources, rows, cols + 1, vals),
-           (sources + 1, rows, cols, vals), (sources, rows, cols, vals[:5])]
-    for n_rows, relation in zip((4, 5, 5, 5), bad):
-        with pytest.raises(ShapeError, match="relation_sum"):
-            nk.relation_sum(x, weights[:1], [relation], n_rows)
-    with pytest.raises(ShapeError, match="relation_sum"):
-        nk.relation_sum(x, weights, relations[:2], 5)
-    with pytest.raises(ShapeError, match="relation_sum"):
-        nk.relation_sum(x, [weights[0], nk.parameter(np.ones((3, 4)))],
-                        relations[:2], 5)
+    with pytest.raises(ShapeError, match="relation_sum: 2 weights for 3"):
+        nk.relation_sum(x, weights[:2], graph)
+    with pytest.raises(ShapeError, match="relation_sum: weight"):
+        nk.relation_sum(x, weights[:2] + [nk.parameter(np.ones((3, 4)))], graph)
+    with pytest.raises(ShapeError, match="relation_sum: x has 3 rows"):
+        nk.relation_sum(x[:3], weights, graph)
+
+
+def test_relation_sum_rejects_a_differentiable_x():
+    # the op computes no gradient for x, so a parameter x would silently
+    # keep none
+    graph = concatenated_relations(2, [([0], [1], [0], [1.0])])
+    with pytest.raises(ParameterError, match="relation_sum: x must be a constant"):
+        nk.relation_sum(nk.parameter(np.ones((2, 3))),
+                        [nk.parameter(np.ones((3, 2)))], graph)
 
 
 class _CountingArray(np.ndarray):
